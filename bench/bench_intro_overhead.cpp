@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
     for (const auto& ckpt_app : ckpt_apps) {
       const auto golden =
           harness::profile_app(*ckpt_app, nranks,
-                               std::chrono::milliseconds(10'000),
                                /*capture_checkpoints=*/true);
       for (const bool late : {true, false}) {
         std::vector<std::vector<fsefi::InjectionPlan>> all_plans;
@@ -381,7 +380,6 @@ int main(int argc, char** argv) {
     const int nranks = 4;
     const auto golden =
         harness::profile_app(store_app, nranks,
-                             std::chrono::milliseconds(10'000),
                              /*capture_checkpoints=*/true);
     const std::string dir =
         (std::filesystem::temp_directory_path() /

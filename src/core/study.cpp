@@ -20,7 +20,6 @@ harness::DeploymentConfig base_deployment(const StudyConfig& cfg,
   harness::DeploymentConfig dep;
   dep.trials = cfg.trials;
   dep.seed = util::derive_seed(cfg.seed, stream);
-  dep.deadlock_timeout = cfg.deadlock_timeout;
   dep.adaptive = cfg.adaptive;
   return dep;
 }
@@ -141,7 +140,7 @@ StudyResult run_study(const apps::App& app, const StudyConfig& cfg) {
   phases.push_back(as_phase("large_profile", [&] {
     out.prob_unique =
         golden_cache
-            .get_or_profile(app, cfg.large_p, cfg.deadlock_timeout, &executor)
+            .get_or_profile(app, cfg.large_p, &executor)
             ->unique_fraction();
   }));
 

@@ -26,7 +26,6 @@ struct StudyConfig {
   /// exceeds this (the paper invokes it for FT only).
   double unique_fraction_threshold = 0.02;
   PredictorOptions predictor;
-  std::chrono::milliseconds deadlock_timeout{10'000};
   /// Worker count of the campaign executor shared by all study phases
   /// (0 = auto, 1 = fully serial). Execution policy only: study results
   /// are bit-identical for every value.

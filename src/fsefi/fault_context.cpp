@@ -16,8 +16,8 @@ namespace {
 std::atomic<int> g_fast_real_override{-1};
 
 // The installed fault context is per-rank state: under the fiber
-// scheduler it must follow the rank's fiber across worker threads, so
-// register the slot for scheduler-side migration.
+// scheduler every rank of a job shares one thread, so register the slot
+// for the scheduler to swap with each fiber.
 [[maybe_unused]] const std::size_t g_context_tls_slot =
     util::FiberTlsRegistry::add({
         []() noexcept -> void* { return detail::tl_context; },

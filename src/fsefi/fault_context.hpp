@@ -1,8 +1,8 @@
 // Per-rank fault-injection state: the software analogue of one F-SEFI
 // guest VM (paper Section 2).
 //
-// Exactly one FaultContext is installed per rank thread for the duration
-// of an application run. Every instrumented floating-point operation
+// Exactly one FaultContext is installed per rank (per rank fiber) for the
+// duration of an application run. Every instrumented floating-point operation
 // reports here: the context counts dynamic operations by (region, kind),
 // performs the planned bit flips when their dynamic index comes up, and
 // records whether this rank ever touched corrupted data ("contamination",

@@ -11,8 +11,6 @@
 #include "harness/campaign_engine.hpp"
 #include "harness/executor.hpp"
 #include "harness/golden_cache.hpp"
-#include "simmpi/rank_team.hpp"
-#include "simmpi/runtime.hpp"
 #include "util/options.hpp"
 
 namespace resilience::harness {
@@ -122,9 +120,9 @@ CampaignResult CampaignRunner::run(const apps::App& app,
     telemetry::count(telemetry::Counter::HarnessCampaigns);
     if (context.golden_cache != nullptr) {
       result.golden = *context.golden_cache->get_or_profile(
-          app, cfg.nranks, cfg.deadlock_timeout, context.executor);
+          app, cfg.nranks, context.executor);
     } else {
-      result.golden = profile_app(app, cfg.nranks, cfg.deadlock_timeout);
+      result.golden = profile_app(app, cfg.nranks);
       telemetry::count(telemetry::Counter::HarnessGoldenProfiles);
     }
   }
@@ -147,19 +145,6 @@ CampaignResult CampaignRunner::run(const apps::App& app,
       local_executor = std::make_unique<Executor>(workers);
       executor = local_executor.get();
     }
-  }
-
-  // The thread footprint of one trial's job: nranks in threads mode, the
-  // resolved fiber-worker count in fibers mode. Both the rank-team
-  // prewarm width and the executor admission weight follow it.
-  const int width = simmpi::Runtime::job_width(cfg.nranks);
-
-  if (executor != nullptr && width > 1 && simmpi::RankTeamPool::enabled()) {
-    // Pay the rank-team thread spawns before the timed trial loop: each
-    // concurrently running trial checks out its own team of this width.
-    telemetry::ScopeGuard guard(&metrics);
-    const int concurrent = std::max(1, executor->workers() / width);
-    simmpi::RankTeamPool::instance().prewarm(width, concurrent);
   }
 
   // Run trials [0, n) of `body` to completion and return the
@@ -187,14 +172,13 @@ CampaignResult CampaignRunner::run(const apps::App& app,
       const std::size_t lo = c * chunk;
       const std::size_t hi = std::min(lo + chunk, n);
       if (lo >= hi) break;
-      tasks.push_back({width, [&, c, lo, hi] {
-                         const auto start = std::chrono::steady_clock::now();
-                         for (std::size_t i = lo; i < hi; ++i) body(i);
-                         chunk_seconds[c] =
-                             std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-                       }});
+      tasks.push_back([&, c, lo, hi] {
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t i = lo; i < hi; ++i) body(i);
+        chunk_seconds[c] = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+      });
     }
     executor->run(std::move(tasks));
     // Serial-equivalent injection time: execution spans summed across

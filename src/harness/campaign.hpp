@@ -143,7 +143,6 @@ struct DeploymentConfig {
   /// Hang guard: budget = factor * fault-free max rank ops + slack.
   double hang_budget_factor = 8.0;
   std::uint64_t hang_budget_slack = 1u << 16;
-  std::chrono::milliseconds deadlock_timeout{10'000};
   /// Campaign-executor worker count. 0 = auto (RESILIENCE_THREADS env or
   /// hardware concurrency); 1 = the serial inline path. Execution policy
   /// only: results are bit-identical for every value (trials have

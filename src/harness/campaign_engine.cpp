@@ -174,7 +174,6 @@ TrialSpace::TrialSpace(const apps::App& app, const DeploymentConfig& config,
     }
   }
 
-  run_opts_.deadlock_timeout = config_.deadlock_timeout;
   run_opts_.op_budget = static_cast<std::uint64_t>(
                             config_.hang_budget_factor *
                             static_cast<double>(golden_.max_rank_ops)) +

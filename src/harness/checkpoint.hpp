@@ -180,8 +180,8 @@ struct RankBoundary {
   std::vector<std::byte> state;  ///< empty when outside the storage budget
 };
 
-/// Capture sink shared by one golden run's rank threads; each rank writes
-/// only its own slot.
+/// Capture sink shared by one golden run's ranks; each rank writes only
+/// its own slot.
 struct CheckpointCapture {
   std::vector<std::vector<RankBoundary>> ranks;
   /// Per-rank Real-element counts of the state views (see

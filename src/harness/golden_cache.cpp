@@ -7,8 +7,7 @@
 namespace resilience::harness {
 
 std::shared_ptr<const GoldenRun> GoldenCache::get_or_profile(
-    const apps::App& app, int nranks,
-    std::chrono::milliseconds deadlock_timeout, Executor* executor) {
+    const apps::App& app, int nranks, Executor* executor) {
   const Key key{app.label(), nranks};
   std::promise<std::shared_ptr<const GoldenRun>> promise;
   Future future;
@@ -39,13 +38,9 @@ std::shared_ptr<const GoldenRun> GoldenCache::get_or_profile(
     try {
       auto run_profile = [&]() -> GoldenRun {
         GoldenRun result;
-        auto profile = [&] {
-          result = profile_app(app, nranks, deadlock_timeout);
-        };
+        auto profile = [&] { result = profile_app(app, nranks); };
         if (executor != nullptr) {
-          std::vector<Executor::Task> task;
-          task.push_back({nranks, profile});
-          executor->run(std::move(task));
+          executor->run({profile});
         } else {
           profile();
         }

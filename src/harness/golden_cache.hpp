@@ -8,7 +8,6 @@
 // for one key block on a single profiling run instead of duplicating it.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <future>
 #include <map>
@@ -34,16 +33,13 @@ class GoldenCache {
   explicit GoldenCache(GoldenStore* store) : store_(store) {}
 
   /// Return the golden run of (app.label(), nranks), profiling it on a
-  /// miss. With a non-null `executor` the profiling run is admitted
-  /// through it with weight nranks, so golden runs obey the same
-  /// rank-concurrency budget as campaign trials. Profiling errors
-  /// propagate to every waiter of the key; the failed entry is evicted so
-  /// a later call can retry.
-  std::shared_ptr<const GoldenRun> get_or_profile(
-      const apps::App& app, int nranks,
-      std::chrono::milliseconds deadlock_timeout =
-          std::chrono::milliseconds{10'000},
-      Executor* executor = nullptr);
+  /// miss. With a non-null `executor` the profiling run takes one of its
+  /// workers, so golden runs share the executor's thread budget with
+  /// campaign trials. Profiling errors propagate to every waiter of the
+  /// key; the failed entry is evicted so a later call can retry.
+  std::shared_ptr<const GoldenRun> get_or_profile(const apps::App& app,
+                                                  int nranks,
+                                                  Executor* executor = nullptr);
 
   /// Requests served from an existing (possibly in-flight) entry.
   [[nodiscard]] std::size_t hits() const;

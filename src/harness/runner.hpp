@@ -1,7 +1,7 @@
 // Single-run execution of an application under fault-injection contexts.
 //
 // The runner launches one simmpi job for the app, installs a FaultContext
-// on every rank thread (optionally armed with per-rank injection plans),
+// in every rank's execution context (optionally armed with per-rank injection plans),
 // and collects what the fault injector observed: per-rank dynamic
 // operation profiles, per-rank contamination flags, and the rank-0 output.
 //
@@ -27,8 +27,6 @@ namespace resilience::harness {
 struct RunOptions {
   /// Per-rank dynamic-operation budget; 0 disables the hang guard.
   std::uint64_t op_budget = 0;
-  /// Deadlock timeout of the underlying simmpi job.
-  std::chrono::milliseconds deadlock_timeout{10'000};
   /// Golden capture: when set, every rank records per-boundary op counts,
   /// state digests, and budgeted full-state snapshots into this sink.
   CheckpointCapture* capture = nullptr;
@@ -109,8 +107,6 @@ struct GoldenRun {
 /// the boundary metadata a capture records is also the ResidentState
 /// scenario's sample space, which must not change shape with the knob.
 GoldenRun profile_app(const apps::App& app, int nranks,
-                      std::chrono::milliseconds deadlock_timeout =
-                          std::chrono::milliseconds{10'000},
                       bool capture_checkpoints = true);
 
 }  // namespace resilience::harness

@@ -123,7 +123,11 @@ class Coordinator {
       }
     }
 
-    while (remaining_ > 0) {
+    // After the last result, keep serving until every live worker has
+    // reported Ready: a worker whose init finished after its siblings
+    // drained the queue still owes the campaign its init metrics (the
+    // golden-store hit or profile of its pre-pass).
+    while (remaining_ > 0 || awaiting_ready()) {
       std::vector<pollfd> fds;
       std::vector<std::size_t> slots;
       int timeout_ms = -1;
@@ -210,7 +214,7 @@ class Coordinator {
     }
     if (pid == 0) {
       // Child: only async-signal-safe calls until exec (the parent may be
-      // multi-threaded — rank-team pools survive from earlier campaigns).
+      // multi-threaded — a campaign executor may be running beside us).
       ::execl(worker_path_.c_str(), worker_path_.c_str(), fd_arg.c_str(),
               static_cast<char*>(nullptr));
       ::_exit(127);
@@ -240,6 +244,12 @@ class Coordinator {
       // A worker that died before reading init surfaces as EOF in the
       // event loop; the recovery path there replaces it.
     }
+  }
+
+  [[nodiscard]] bool awaiting_ready() const {
+    return std::any_of(workers_.begin(), workers_.end(), [](const Worker& w) {
+      return w.fd >= 0 && !w.ready;
+    });
   }
 
   void dispatch(std::size_t slot) {
@@ -440,7 +450,7 @@ harness::CampaignResult run_sharded_campaign(
     harness::GoldenStore store(store_dir);
     const auto golden = store.load_or_fill(app, cfg.nranks, [&] {
       telemetry::count(telemetry::Counter::HarnessGoldenProfiles);
-      return harness::profile_app(app, cfg.nranks, cfg.deadlock_timeout);
+      return harness::profile_app(app, cfg.nranks);
     });
     result.golden = *golden;
   }

@@ -5,8 +5,8 @@ namespace resilience::simmpi {
 namespace detail {
 namespace {
 
-// true = fuse fiber-mode collectives (default), false = forced onto the
-// mailbox decomposition. Programmatic test/bench toggle only.
+// true = fuse collectives (default), false = forced onto the mailbox
+// decomposition. Programmatic test/bench toggle only.
 std::atomic<bool> g_fused_collectives{true};
 
 }  // namespace
@@ -34,7 +34,6 @@ void Comm::barrier() {
     for (int i = 0; i < logical_sends; ++i) record_logical_send(1);
     detail::Arrival arrival;
     arrival.fiber = FiberScheduler::current_fiber();
-    std::unique_lock lock(group.mutex());
     switch (group.arrive(rank_, epoch, arrival, size_)) {
       case detail::FusedGroup::ArriveOutcome::EpochMismatch:
         throw UsageError("collective: SPMD sequence mismatch");
@@ -42,7 +41,7 @@ void Comm::barrier() {
         group.complete(epoch, *job_->scheduler);
         return;
       case detail::FusedGroup::ArriveOutcome::Waiter:
-        await_fused(group, lock, epoch);
+        await_fused(group, epoch);
         return;
     }
   }

@@ -2,7 +2,7 @@
 // mmap stack plus a ucontext execution context.
 //
 // A FiberContext is the mechanism only — allocate a stack, run an entry
-// function on it, switch in from a worker thread and out from the fiber.
+// function on it, switch in from the scheduler loop and out from the fiber.
 // All policy (run queues, park/wake states, deadlock detection) lives in
 // scheduler.{hpp,cpp}.
 //
@@ -51,13 +51,12 @@ class FiberContext {
   FiberContext(const FiberContext&) = delete;
   FiberContext& operator=(const FiberContext&) = delete;
 
-  /// Transfer the calling (worker) thread into the fiber; returns when
-  /// the fiber next calls switch_out(). Not reentrant: a fiber must not
-  /// switch into another fiber.
+  /// Transfer the calling thread into the fiber; returns when the fiber
+  /// next calls switch_out(). Not reentrant: a fiber must not switch into
+  /// another fiber.
   void switch_in();
 
-  /// Transfer from inside the fiber back to the worker that resumed it.
-  /// Callable on any thread the fiber was resumed on (migration-safe).
+  /// Transfer from inside the fiber back to the loop that resumed it.
   void switch_out();
 
   /// Drop every pooled idle stack mapping (tests / memory pressure).

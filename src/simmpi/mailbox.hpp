@@ -2,37 +2,34 @@
 //
 // Sends are buffered (they enqueue and return, like MPI_Send on small
 // messages); receives block until a matching envelope arrives, the job is
-// aborted, or the deadlock timeout expires. Matching is FIFO per
-// (source, tag) pair, which is exactly MPI's non-overtaking guarantee.
+// aborted, or the job deadlocks. Matching is FIFO per (source, tag) pair,
+// which is exactly MPI's non-overtaking guarantee.
 //
 // Matching is indexed: envelopes are stored in per-(source, tag)
 // sub-queues keyed by the wire pair, so the common exact-match receive is
 // a hash lookup instead of a scan of every queued message. Wildcard
 // receives (kAnySource / kAnyTag) scan the sub-queue fronts and take the
-// envelope with the smallest arrival stamp — identical to what the old
-// arrival-ordered linear scan returned, at a cost proportional to the
+// envelope with the smallest arrival stamp — identical to what an
+// arrival-ordered linear scan returns, at a cost proportional to the
 // number of *distinct* live (source, tag) pairs, not the number of
 // queued messages.
 //
-// Blocking has two shapes. On the threaded substrate a receive without a
-// match waits on the mailbox condvar with the progress-reset deadlock
-// deadline. Under the fiber scheduler the receiving *fiber* instead
-// records its (source, tag) filter in the mailbox's waiter list and
-// parks — the worker thread moves on to another runnable rank — and
-// push unparks exactly the waiters its envelope can match (interrupt
-// unparks them all).
-// The fiber path has no timeout at all: the scheduler detects deadlock
+// Blocking: a receive without a match records the calling fiber and its
+// (source, tag) filter in the mailbox's waiter list and parks it; push
+// unparks exactly the waiters its envelope can match (a job abort wakes
+// every parked fiber). There is no timeout: the scheduler detects deadlock
 // deterministically (zero runnable fibers) and wakes parked receivers,
-// which observe deadlocked() and throw.
+// which observe deadlocked() and throw. A serial job runs inline with no
+// scheduler, so a receive there with no queued match can never be
+// satisfied and throws DeadlockError at once.
+//
+// A mailbox belongs to one job, and a job's ranks share one thread, so
+// nothing here is locked.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -55,28 +52,25 @@ struct Envelope {
   std::vector<std::byte> bytes;
 };
 
-/// Shared abort flag for one job; wakes every blocked mailbox.
+/// Shared abort flag for one job.
 class AbortToken {
  public:
-  void trigger() noexcept { aborted_.store(true, std::memory_order_release); }
-  [[nodiscard]] bool triggered() const noexcept {
-    return aborted_.load(std::memory_order_acquire);
-  }
+  void trigger() noexcept { aborted_ = true; }
+  [[nodiscard]] bool triggered() const noexcept { return aborted_; }
 
  private:
-  std::atomic<bool> aborted_{false};
+  bool aborted_ = false;
 };
 
 class Mailbox {
  public:
-  Mailbox(AbortToken* abort, std::chrono::milliseconds deadlock_timeout)
-      : abort_(abort), timeout_(deadlock_timeout) {}
+  explicit Mailbox(AbortToken* abort) : abort_(abort) {}
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
   /// Attach the owning job's fiber scheduler; receives called from a
-  /// fiber will park instead of waiting on the condvar.
+  /// fiber park until a matching envelope arrives.
   void set_scheduler(FiberScheduler* scheduler) noexcept {
     sched_ = scheduler;
   }
@@ -86,106 +80,70 @@ class Mailbox {
   /// rest would be a thundering herd of resume/re-park cycles (each a
   /// full TLS swap and context switch) for receives that cannot match.
   void push(Envelope env) {
-    {
-      std::lock_guard lock(mu_);
-      const int source = env.source;
-      const int tag = env.tag;
-      auto& queue = queues_[key_of(source, tag)];
-      queue.push_back(Stamped{next_stamp_++, std::move(env)});
-      ++pending_;
-      ++arrivals_;
-      if (sched_ != nullptr) {
-        for (const RecvWaiter& waiter : recv_waiters_) {
-          if (waiter.matches(source, tag)) sched_->unpark(waiter.fiber);
-        }
+    const int source = env.source;
+    const int tag = env.tag;
+    auto& queue = queues_[key_of(source, tag)];
+    queue.push_back(Stamped{next_stamp_++, std::move(env)});
+    ++pending_;
+    if (sched_ != nullptr) {
+      for (const RecvWaiter& waiter : recv_waiters_) {
+        if (waiter.matches(source, tag)) sched_->unpark(waiter.fiber);
       }
     }
-    cv_.notify_all();
   }
 
-  /// Wake every blocked receive so it can observe an abort.
-  void interrupt() {
-    {
-      std::lock_guard lock(mu_);
-      if (sched_ != nullptr) {
-        for (const RecvWaiter& waiter : recv_waiters_) {
-          sched_->unpark(waiter.fiber);
-        }
-      }
-    }
-    cv_.notify_all();
-  }
-
-  /// Dequeue the first envelope matching (source, tag), blocking as needed.
-  /// Throws AbortError if the job aborts while waiting and DeadlockError if
-  /// the deadlock timeout elapses with *no traffic at all*: every arrival
-  /// restarts the clock, so a receive waiting behind a long stream of
-  /// healthy non-matching (or slowly-drained) traffic is not declared a
-  /// deadlock just because the stream outlasts one timeout period.
+  /// Dequeue the first envelope matching (source, tag), parking the
+  /// calling fiber as needed. Throws AbortError if the job aborts while
+  /// waiting and DeadlockError once no rank can ever send the match: the
+  /// scheduler found no runnable fiber, or the caller is a serial job's
+  /// only rank.
   Envelope pop_matching(int source, int tag) {
-    std::unique_lock lock(mu_);
-    if (sched_ != nullptr && FiberScheduler::in_fiber()) {
-      return pop_matching_fiber(source, tag, lock);
-    }
-    std::uint64_t seen_arrivals = arrivals_;
-    auto deadline = std::chrono::steady_clock::now() + timeout_;
     bool counted_wait = false;
+    detail::Fiber* const self = FiberScheduler::current_fiber();
     for (;;) {
       if (abort_->triggered()) throw AbortError();
       if (SubQueue* queue = find_match(source, tag); queue != nullptr) {
         return take_front(*queue);
       }
+      if (sched_ == nullptr || self == nullptr) {
+        throw DeadlockError("receive with no matching message in a serial "
+                            "job: deadlock");
+      }
+      if (sched_->deadlocked()) {
+        throw DeadlockError("receive blocked with no runnable fiber: deadlock");
+      }
       if (!counted_wait) {
-        // Diagnostic (timing-born) counter: this receive is about to
-        // block — its match has not arrived yet. Counted once per call.
+        // Diagnostic counter: this receive is about to park — its match
+        // has not arrived yet. Counted once per call.
         telemetry::count(telemetry::Counter::SimmpiMailboxWaits);
         counted_wait = true;
       }
-      if (arrivals_ != seen_arrivals) {
-        // Progress: traffic arrived while we waited. Reset the clock so
-        // only genuine silence counts toward the deadlock verdict.
-        seen_arrivals = arrivals_;
-        deadline = std::chrono::steady_clock::now() + timeout_;
-      }
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-          arrivals_ == seen_arrivals) {
-        if (abort_->triggered()) throw AbortError();
-        throw DeadlockError("receive timed out: likely deadlock or hang");
-      }
+      recv_waiters_.push_back(RecvWaiter{self, source, tag});
+      sched_->park();
+      remove_recv_waiter(self);
     }
   }
 
   /// Non-blocking probe: true if a matching envelope is queued.
   [[nodiscard]] bool probe(int source, int tag) {
-    std::lock_guard lock(mu_);
     return find_match(source, tag) != nullptr;
   }
 
   /// Number of queued envelopes (any source/tag).
-  [[nodiscard]] std::size_t pending() {
-    std::lock_guard lock(mu_);
-    return pending_;
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   // ---- payload buffer pool --------------------------------------------------
 
   /// A payload buffer of `bytes` size for a message addressed to this
   /// mailbox, recycled from previously consumed envelopes when possible.
   [[nodiscard]] std::vector<std::byte> acquire_buffer(std::size_t bytes) {
-    std::lock_guard lock(mu_);
     return pool_.get(bytes);
   }
 
   /// Return a consumed envelope's payload capacity to this mailbox's pool.
-  void recycle(Envelope&& env) {
-    std::lock_guard lock(mu_);
-    pool_.put(std::move(env.bytes));
-  }
+  void recycle(Envelope&& env) { pool_.put(std::move(env.bytes)); }
 
-  [[nodiscard]] BufferPool::Stats pool_stats() {
-    std::lock_guard lock(mu_);
-    return pool_.stats();
-  }
+  [[nodiscard]] BufferPool::Stats pool_stats() const { return pool_.stats(); }
 
  private:
   struct Stamped {
@@ -208,7 +166,7 @@ class Mailbox {
 
   /// A parked receiving fiber plus the (source, tag) filter it awaits;
   /// push() uses the filter to wake only receivers the envelope can
-  /// satisfy. Guarded by mu_.
+  /// satisfy.
   struct RecvWaiter {
     detail::Fiber* fiber = nullptr;
     int source = 0;
@@ -226,30 +184,6 @@ class Mailbox {
         recv_waiters_.erase(it);
         return;
       }
-    }
-  }
-
-  /// Fiber-path receive: park instead of condvar-waiting, no timeout.
-  /// Requires `lock` held; called with the calling fiber's scheduler set.
-  Envelope pop_matching_fiber(int source, int tag,
-                              std::unique_lock<std::mutex>& lock) {
-    bool counted_wait = false;
-    detail::Fiber* const self = FiberScheduler::current_fiber();
-    for (;;) {
-      if (abort_->triggered()) throw AbortError();
-      if (SubQueue* queue = find_match(source, tag); queue != nullptr) {
-        return take_front(*queue);
-      }
-      if (sched_->deadlocked()) {
-        throw DeadlockError("receive blocked with no runnable fiber: deadlock");
-      }
-      if (!counted_wait) {
-        telemetry::count(telemetry::Counter::SimmpiMailboxWaits);
-        counted_wait = true;
-      }
-      recv_waiters_.push_back(RecvWaiter{self, source, tag});
-      sched_->park(lock);
-      remove_recv_waiter(self);
     }
   }
 
@@ -292,15 +226,11 @@ class Mailbox {
   }
 
   AbortToken* abort_;
-  std::chrono::milliseconds timeout_;
-  FiberScheduler* sched_ = nullptr;  ///< set when the job runs on fibers
-  std::vector<RecvWaiter> recv_waiters_;  ///< parked receivers (under mu_)
-  std::mutex mu_;
-  std::condition_variable cv_;
+  FiberScheduler* sched_ = nullptr;  ///< null for a serial job
+  std::vector<RecvWaiter> recv_waiters_;  ///< parked receivers
   /// (source, tag) -> FIFO of envelopes; empty sub-queues are erased.
   std::unordered_map<std::uint64_t, SubQueue> queues_;
   std::uint64_t next_stamp_ = 0;
-  std::uint64_t arrivals_ = 0;  ///< pushes ever seen; progress signal
   std::size_t pending_ = 0;
   BufferPool pool_;
 };

@@ -1,23 +1,19 @@
 // Job launcher for the simulated MPI runtime.
 //
 // Runtime::run executes `body` once per rank and reports how the job
-// ended: clean completion, abort (a rank threw), or deadlock/hang. The
+// ended: clean completion, abort (a rank threw), or deadlock. The
 // campaign harness maps abnormal endings onto the paper's "Failure"
 // fault-injection outcome.
 //
-// Execution core (RESILIENCE_SCHEDULER):
-//  - "fibers" (default): each rank is a cooperative fiber multiplexed
-//    over a small worker pool (RESILIENCE_SCHED_WORKERS, default
-//    min(hardware concurrency, nranks)), so a 1024-rank job costs a
-//    handful of OS threads and deadlock is detected deterministically
-//    the moment no fiber is runnable. See scheduler.hpp.
-//  - "threads": one OS thread per rank — on a pooled RankTeam by
-//    default, or freshly spawned std::threads when the pool is disabled
-//    (RESILIENCE_TEAM_POOL=0) — with the timeout-based deadlock
-//    detector. Kept as the bit-identical reference core.
+// A job runs entirely on the calling thread. A serial job runs its one
+// rank inline; a multi-rank job runs each rank as a cooperative fiber
+// (scheduler.hpp), one at a time, so a 1024-rank job costs one OS thread
+// and deadlock is detected deterministically the moment no fiber is
+// runnable. Parallelism comes from running jobs side by side — the
+// campaign executor's threads and the shard worker processes — never
+// from spreading one job over threads.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <string>
 
@@ -27,18 +23,11 @@ namespace resilience::simmpi {
 
 namespace detail {
 
-/// Scheduler-mode knobs resolved from util::RuntimeOptions, each with a
-/// programmatic override for tests/benches (override > env > default).
-/// The setters accept a sentinel to drop the override again.
-[[nodiscard]] bool scheduler_fibers_enabled() noexcept;
-void set_scheduler_fibers_enabled(bool enabled) noexcept;
-void reset_scheduler_fibers_enabled() noexcept;
+/// OS threads a job of `nranks` runs on: always 1. Kept because the
+/// end-to-end benchmark's host stamp reads it.
+[[nodiscard]] inline int resolved_scheduler_workers(int) noexcept { return 1; }
 
-/// Worker threads a fiber-mode job of `nranks` will use.
-[[nodiscard]] int resolved_scheduler_workers(int nranks) noexcept;
-/// Override the worker count (0 = auto, negative = back to options).
-void set_scheduler_workers(int workers) noexcept;
-
+/// Fiber stack size from RESILIENCE_FIBER_STACK_KB, unless overridden.
 [[nodiscard]] std::size_t resolved_fiber_stack_bytes() noexcept;
 /// Override the fiber stack size (0 = back to options).
 void set_fiber_stack_kb(std::size_t kb) noexcept;
@@ -46,28 +35,25 @@ void set_fiber_stack_kb(std::size_t kb) noexcept;
 }  // namespace detail
 
 struct RunOptions {
-  /// How long a blocked receive waits before declaring the job hung
-  /// (threads mode only: the fiber scheduler detects deadlock
-  /// deterministically and ignores this).
-  std::chrono::milliseconds deadlock_timeout{10'000};
-  /// Optional hook run on each rank's thread before the body (the fault
-  /// injector uses it to install per-rank thread-local state).
+  /// Optional hook run in each rank's execution context before the body
+  /// (the fault injector uses it to install per-rank thread-local state,
+  /// which the scheduler keeps per fiber).
   std::function<void(int rank)> on_rank_start{};
-  /// Optional hook run on each rank's thread after the body, even when the
-  /// body throws.
+  /// Optional hook run in each rank's execution context after the body,
+  /// even when the body throws.
   std::function<void(int rank)> on_rank_exit{};
 };
 
 struct RunResult {
   bool ok = false;          ///< all ranks returned normally
   bool aborted = false;     ///< a rank threw; job torn down
-  bool deadlocked = false;  ///< a blocking op timed out
+  bool deadlocked = false;  ///< every unfinished rank was blocked
   int failed_rank = -1;     ///< rank whose exception triggered the abort
   std::string error;        ///< what() of the first exception
   /// Transport statistics over the whole job: point-to-point messages and
-  /// the messages collectives decompose into. Fused fiber-mode
-  /// collectives still report their logical decomposition, so these
-  /// counts are independent of which execution core ran the job.
+  /// the messages collectives decompose into. Fused collectives still
+  /// report their logical decomposition, so these counts do not depend
+  /// on whether collectives were fused.
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
   /// Envelope-pool statistics: payload buffers freshly heap-allocated vs
@@ -81,20 +67,13 @@ struct RunResult {
 
 class Runtime {
  public:
-  /// Run `body` on `nranks` ranks and join all of them.
-  /// Exceptions thrown by a rank trigger an MPI_Abort-style teardown: the
-  /// first exception is recorded and every blocked rank is woken with
-  /// AbortError. Never throws for in-job errors; throws UsageError for
-  /// nranks < 1.
+  /// Run `body` on `nranks` ranks, on the calling thread, until every
+  /// rank finished. Exceptions thrown by a rank trigger an
+  /// MPI_Abort-style teardown: the first exception is recorded and every
+  /// blocked rank is woken with AbortError. Never throws for in-job
+  /// errors; throws UsageError for nranks < 1.
   static RunResult run(int nranks, const std::function<void(Comm&)>& body,
                        const RunOptions& options = {});
-
-  /// OS threads a job of `nranks` will occupy under the current
-  /// scheduler configuration: 1 for serial jobs, the resolved worker
-  /// count in fibers mode, nranks in threads mode. The campaign executor
-  /// uses this as the admission weight of a trial task and as the
-  /// rank-team prewarm width.
-  [[nodiscard]] static int job_width(int nranks) noexcept;
 };
 
 }  // namespace resilience::simmpi

@@ -1,58 +1,42 @@
-// Cooperative fiber scheduler: resumable ranks multiplexed over a small
-// worker pool (DESIGN.md §11).
+// Cooperative fiber scheduler: every rank of a job is a resumable fiber,
+// and all of a job's fibers run one at a time on the thread that launched
+// the job (DESIGN.md §11).
 //
-// Thread-per-rank capped campaigns near the paper's 128 ranks — a
-// 1024-rank job is 1024 OS threads fighting over a handful of cores, and
-// every collective is N threads rendezvousing on condition variables. The
-// scheduler replaces that with one stackful fiber per rank (fiber.hpp)
-// run by `workers` pooled threads: a blocking point (mailbox receive,
-// fused collective arrival) parks the fiber and the worker picks the next
-// runnable one, so a job's thread footprint is the worker-pool width no
-// matter how many ranks it simulates.
+// A blocking point (mailbox receive, fused-collective arrival) parks the
+// running fiber and the scheduler switches to the next runnable one, so a
+// 1024-rank job costs one OS thread and 1024 small stacks. Parallelism
+// comes from running several jobs side by side (the campaign executor,
+// shard worker processes), never from spreading one job over threads —
+// the same design SimGrid uses for its simulated actors.
 //
-// Park/wake protocol (all state transitions under the scheduler mutex):
-//   - A fiber that must block registers itself in the owning structure's
-//     WaitList while holding that structure's lock, marks itself Parking,
-//     releases the lock and switches to its worker. The worker *commits*
-//     the park: Parking -> Parked, or — if a waker already flagged it —
-//     straight back onto the run queue. Wakers therefore never lose a
-//     wakeup regardless of where the fiber is in its switch.
-//   - Wakers call unpark(): Parked -> Runnable (enqueued); Parking ->
-//     ParkingWoken (the committing worker requeues); any other state is a
-//     satisfied or spurious wake and is ignored. Parked fibers remove
-//     themselves from their WaitList after resuming (they reacquire the
-//     owner lock anyway to re-check their predicate), so wakers never
-//     touch list storage they don't own.
-//   - Fibers parked on a fused-collective group (park_on_group) are
-//     exempt from the job-abort broadcast (wake_all_parked): the group's
-//     combiner may be borrowing their TLS banks mid-combine, and an
-//     early resume would race those swaps. Such fibers are woken by the
-//     combiner's complete() or by the no-runnable sweep, which cannot
-//     run while a combiner (a running fiber) exists.
+// Park/wake protocol: a fiber that must block registers itself in the
+// owning structure's wait list, marks itself parked and switches back to
+// the scheduler loop. Wakers call unpark(), which queues a parked fiber at
+// the back of the run queue; waking a fiber that is not parked is a
+// satisfied or spurious wake and is ignored. Parked fibers remove themselves from their wait
+// list after resuming, then re-check their predicate. Only one fiber of a
+// job runs at any moment, so none of this needs a lock: a fiber is
+// suspended exactly where it called park() or yield_current(), never in
+// between.
 //
 // Deadlock detection is deterministic, not timer-based: the moment no
-// fiber is runnable or running while some are still unfinished, no future
-// event can ever unblock them (there are no timers and no external
-// inputs), so the scheduler declares the job deadlocked and wakes every
-// parked fiber; the blocking primitives observe deadlocked() and throw
-// DeadlockError, which Runtime::run records exactly like a threads-mode
-// deadlock timeout — minus the ten seconds of waiting.
+// fiber is runnable while some are still unfinished, no future event can
+// ever unblock them (there are no timers and no external inputs), so the
+// scheduler declares the job deadlocked and wakes every parked fiber; the
+// blocking primitives observe deadlocked() and throw DeadlockError, which
+// Runtime::run records as the job's deadlock verdict.
 //
-// TLS migration: a resuming worker installs the fiber's saved bank of
-// registered thread-local slots (util::FiberTlsRegistry — fault-injector
-// context, trial control, telemetry scope stack and lane) and restores
-// its own on suspend, so per-rank state follows the fiber across worker
-// threads. The scheduler mutex orders every suspend/resume pair, which is
-// what keeps single-writer telemetry shards valid under migration.
+// Per-fiber TLS: resume() installs the fiber's saved bank of registered
+// thread-local slots (util::FiberTlsRegistry — fault-injector context,
+// trial control, telemetry scope stack and lane) and restores the
+// launching thread's bank on suspend, so every rank keeps its own
+// per-rank state although all ranks share one thread.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "simmpi/fiber.hpp"
@@ -70,24 +54,15 @@ class Fiber {
  public:
   Fiber(FiberScheduler* scheduler, int rank, std::size_t stack_bytes);
 
-  [[nodiscard]] int rank() const noexcept { return rank_; }
-
  private:
   friend class ::resilience::simmpi::FiberScheduler;
   friend class ::resilience::simmpi::BorrowFiberTls;
-
-  enum class State { Runnable, Running, Parking, ParkingWoken, Parked, Done };
 
   static void entry_thunk(void* arg);
 
   FiberScheduler* scheduler_;
   int rank_;
-  State state_ = State::Runnable;  ///< guarded by the scheduler mutex
-  /// Non-null while the fiber is parked (or parking) on a fused-collective
-  /// group: a combiner may be borrowing its TLS bank, so abort wakeups are
-  /// deferred to the group's own wake paths. Guarded by the scheduler
-  /// mutex; cleared whenever the fiber is actually woken.
-  const void* park_group_ = nullptr;
+  bool parked_ = false;    ///< suspended in park(), waiting for unpark()
   bool finished_ = false;  ///< set by the fiber before its last switch-out
   util::FiberTlsRegistry::Values tls_{};  ///< saved bank while suspended
   FiberContext context_;  ///< last member: entry may run immediately never
@@ -106,48 +81,29 @@ class FiberScheduler {
 
   /// Create one runnable fiber per rank executing `body(rank)`. `body`
   /// must not throw (Runtime's rank wrapper catches everything) and must
-  /// outlive the worker loop.
+  /// outlive run().
   void start(const std::function<void(int rank)>& body);
 
-  /// Drive fibers until every one of them finished. Run this on each of
-  /// the job's worker threads (or inline on the launching thread for a
-  /// single-worker job); every call returns once all fibers are done.
-  void worker_main(int worker_index);
+  /// Drive fibers on the calling thread until every one of them finished.
+  void run();
 
-  /// Park the calling fiber. `owner_lock` — the lock of the structure the
-  /// fiber registered its WaitList entry under — is released before the
-  /// stack switch and reacquired after resume.
-  void park(std::unique_lock<std::mutex>& owner_lock);
+  /// Suspend the calling fiber until unpark() makes it runnable again.
+  /// The caller must already be registered in a wait list its wakers use.
+  void park();
 
-  /// Park the calling fiber on a fused-collective group identified by the
-  /// opaque `group_tag`. Identical to park(), except that while the tag
-  /// is set the fiber is exempt from wake_all_parked(): the group's
-  /// combiner may be borrowing the fiber's TLS bank (BorrowFiberTls), and
-  /// resuming the fiber would race that borrow. Group-parked fibers are
-  /// woken by the combiner's complete() or — when no combiner can be
-  /// running — by the no-runnable-fiber sweep.
-  void park_on_group(std::unique_lock<std::mutex>& owner_lock,
-                     const void* group_tag);
-
-  /// Make a parked (or parking) fiber runnable; satisfied and spurious
-  /// wakes are ignored.
+  /// Make a parked fiber runnable; satisfied and spurious wakes are
+  /// ignored.
   void unpark(detail::Fiber* fiber);
 
   /// Wake every parked fiber (job abort teardown): each resumes inside
   /// its blocking primitive, re-checks its predicate and observes the
-  /// abort token. Fibers parked on a fused-collective group are *not*
-  /// woken here — a combiner may be mid-combine borrowing their TLS —
-  /// they are released by the combiner's complete() or, if no combiner
-  /// ever arrives, by the deterministic no-runnable-fiber sweep (which
-  /// cannot coincide with a combine: a combiner is a running fiber).
+  /// abort token.
   void wake_all_parked();
 
   /// True once the scheduler declared the job deadlocked (every fiber
   /// blocked). Blocking primitives check this after resuming and throw
   /// DeadlockError.
-  [[nodiscard]] bool deadlocked() const noexcept {
-    return deadlocked_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool deadlocked() const noexcept { return deadlocked_; }
 
   /// Reschedule the calling fiber at the back of the run queue so its
   /// peers can make progress; no-op outside fibers. The non-blocking
@@ -158,42 +114,26 @@ class FiberScheduler {
 
   /// The fiber running on the calling thread (nullptr outside fibers).
   [[nodiscard]] static detail::Fiber* current_fiber() noexcept;
-  [[nodiscard]] static bool in_fiber() noexcept {
-    return current_fiber() != nullptr;
-  }
 
  private:
   friend class detail::Fiber;
-  friend class BorrowFiberTls;
 
   void fiber_entry(detail::Fiber* fiber);
   void resume(detail::Fiber* fiber);
-  void unpark_locked(detail::Fiber* fiber);
-  void park_impl(std::unique_lock<std::mutex>& owner_lock,
-                 const void* group_tag);
 
   const int nranks_;
   const std::size_t stack_bytes_;
   std::function<void(int)> body_;
-  std::mutex mu_;
-  std::condition_variable cv_;  ///< idle workers park here
-  /// Signalled when a group-parked fiber's park commits (Parking ->
-  /// Parked): BorrowFiberTls waits here for the owning worker to finish
-  /// banking the fiber's TLS before borrowing it.
-  std::condition_variable borrow_cv_;
   std::deque<detail::Fiber*> run_queue_;
   std::vector<std::unique_ptr<detail::Fiber>> fibers_;
-  int running_ = 0;   ///< fibers currently on a worker (commit pending too)
   int finished_ = 0;  ///< fibers whose body returned
-  bool deadlock_declared_ = false;
-  std::atomic<bool> deadlocked_{false};
+  bool deadlocked_ = false;
 };
 
 namespace detail {
 
-/// Parked fibers blocked on one structure (a mailbox, a fused-collective
-/// group). All methods require the owning structure's lock; entries are
-/// removed by the fibers themselves after they resume.
+/// Parked fibers blocked on one structure (a fused-collective group).
+/// Entries are removed by the fibers themselves after they resume.
 class WaitList {
  public:
   void add(Fiber* fiber) { fibers_.push_back(fiber); }
@@ -205,7 +145,6 @@ class WaitList {
       }
     }
   }
-  [[nodiscard]] bool empty() const noexcept { return fibers_.empty(); }
   void wake_all(FiberScheduler& scheduler) {
     for (Fiber* fiber : fibers_) scheduler.unpark(fiber);
   }
@@ -221,16 +160,8 @@ class WaitList {
 /// per-rank instrumentation (TransportTraits::on_receive, fault-context
 /// taint, telemetry counts) to the logical rank it belongs to while
 /// executing the whole combine on one fiber. No-op for null or the
-/// calling fiber itself.
-///
-/// The borrowed fiber must be parked (or mid-park) on a fused group whose
-/// mutex the caller holds for the borrow's lifetime. The constructor
-/// waits, under the scheduler mutex, for the fiber's park to *commit*
-/// (state Parked), i.e. for the suspending worker to finish banking the
-/// fiber's TLS; and because group-parked fibers are exempt from abort
-/// wakeups (see wake_all_parked) while the only other wake sources — the
-/// group's complete() and the no-runnable sweep — cannot run during the
-/// combine, the bank cannot be swapped out from under the borrow.
+/// calling fiber itself. The borrowed fiber stays parked for the borrow's
+/// lifetime because nothing else runs until the combiner parks or ends.
 class BorrowFiberTls {
  public:
   explicit BorrowFiberTls(detail::Fiber* fiber);

@@ -15,8 +15,6 @@ constexpr const char* kCounterNames[kCounterCount] = {
     "simmpi.buffer_reuses",
     "simmpi.mailbox_waits",
     "simmpi.fused_collectives",
-    "simmpi.team_checkouts",
-    "simmpi.team_spawns",
     "fsefi.dispatch_fast_idle",
     "fsefi.dispatch_fast_live",
     "fsefi.dispatch_reference",
@@ -60,17 +58,15 @@ constexpr const char* kHistogramNames[kHistogramCount] = {
 // The per-op fsefi stream counters (refills, injections, budget throws)
 // and the fused collective combines are deterministic on a healthy rank,
 // but in an aborted job the *surviving* ranks wind down at whichever
-// blocking call first observes the abort token — a race — so their tails
-// vary run to run. Only arm-time and whole-trial counters stay exact.
+// blocking call first observes the abort token, which depends on how the
+// collectives were executed (fused or decomposed into messages). Only
+// arm-time and whole-trial counters stay exact.
 constexpr bool kTimingBorn[kCounterCount] = {
     /*SimmpiJobs*/ false,
     /*SimmpiBufferAllocs*/ true,   // freelist warmth is timing-dependent
     /*SimmpiBufferReuses*/ true,
-    /*SimmpiMailboxWaits*/ true,   // whether a recv blocks is a race
-    /*SimmpiFusedCollectives*/ true,  // fibers-mode-only; abort tails vary
-    /*SimmpiTeamCheckouts*/ true,  // scheduler-mode-dependent (fibers lease
-                                   // one worker team, threads one per job)
-    /*SimmpiTeamSpawns*/ true,     // pool hit/miss depends on interleaving
+    /*SimmpiMailboxWaits*/ true,   // whether a recv blocks depends on order
+    /*SimmpiFusedCollectives*/ true,  // fused path only; abort tails vary
     /*FsefiDispatchFastIdle*/ false,
     /*FsefiDispatchFastLive*/ false,
     /*FsefiDispatchReference*/ false,
@@ -196,11 +192,11 @@ void set_current_lane(std::uint64_t lane) noexcept { tl_lane = lane; }
 
 namespace {
 
-// Fiber-local slots: the scope stack and the lane follow a fiber across
-// worker threads. The scope-stack nodes live on the fiber's own stack
-// (ScopeGuard / AdoptScopeStack frames), so migrating the head pointer is
-// sufficient; the lane makes the migrated fiber keep writing the same
-// single-writer shards it resolved earlier.
+// Fiber-local slots: each fiber keeps its own scope stack and lane while
+// it shares a thread with its job's other fibers. The scope-stack nodes
+// live on the fiber's own stack (ScopeGuard / AdoptScopeStack frames), so
+// swapping the head pointer is sufficient; the lane makes the fiber keep
+// writing the same single-writer shards it resolved earlier.
 [[maybe_unused]] const std::size_t g_scope_stack_slot =
     util::FiberTlsRegistry::add({
         []() noexcept -> void* { return detail::tl_scope_top; },

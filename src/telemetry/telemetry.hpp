@@ -25,10 +25,9 @@
 // Scoping: a MetricScope delimits an accounting domain (one campaign, one
 // study). Scopes form a rollup chain — a campaign scope created with the
 // study scope as parent folds its totals into the parent when it dies —
-// and the *stack* of active scopes is thread-local, propagated across the
-// simmpi job launch onto rank threads via AdoptScopeStack so substrate
-// counters (mailbox waits, pool reuse) land in the campaign that caused
-// them.
+// and the *stack* of active scopes is thread-local, adopted by every
+// simmpi rank fiber via AdoptScopeStack so substrate counters (mailbox
+// waits, pool reuse) land in the campaign that caused them.
 #pragma once
 
 #include <array>
@@ -56,8 +55,6 @@ enum class Counter : std::uint16_t {
   SimmpiBufferReuses,     ///< envelope payloads recycled from freelists
   SimmpiMailboxWaits,     ///< receives that blocked before a match arrived
   SimmpiFusedCollectives, ///< fused collective combines executed
-  SimmpiTeamCheckouts,    ///< rank-team pool checkouts
-  SimmpiTeamSpawns,       ///< rank teams freshly spawned (pool misses)
   // fsefi — fault injector
   FsefiDispatchFastIdle,  ///< contexts armed/reset into the FastIdle state
   FsefiDispatchFastLive,  ///< contexts armed/reset into the FastLive state
@@ -120,7 +117,7 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 /// (app, configuration, seed) — independent of scheduling, timing, and
 /// worker count. The determinism test suite compares exactly the logical
 /// subset; timing-born counters (mailbox waits, buffer allocs, cache
-/// waits, team spawns) are diagnostics only.
+/// waits) are diagnostics only.
 [[nodiscard]] bool is_logical(Counter c) noexcept;
 
 /// Bucket index a recorded value falls into.
@@ -235,12 +232,10 @@ extern thread_local constinit ScopeNode* tl_scope_top;
 // A *lane* is the unit of shard ownership: a small process-unique id for
 // one logical execution context. A plain thread lazily allocates a lane
 // on first use and keeps it forever; a fiber gets a fresh lane at
-// creation, carried across worker threads by the scheduler's TLS
-// migration (the lane and the scope stack are registered fiber-local
-// slots). Keying shards by lane instead of std::thread::id is what keeps
-// the single-writer shard invariant valid when a fiber suspends on one
-// worker and resumes on another: the shard follows the lane, the lane
-// follows the fiber, and the scheduler mutex orders the handoff.
+// creation, swapped in and out by the scheduler's per-fiber TLS (the lane
+// and the scope stack are registered fiber-local slots). Keying shards by
+// lane instead of std::thread::id gives each rank fiber its own shard
+// although all of a job's fibers share one thread.
 [[nodiscard]] std::uint64_t current_lane() noexcept;
 void set_current_lane(std::uint64_t lane) noexcept;
 [[nodiscard]] std::uint64_t new_lane() noexcept;
@@ -314,9 +309,9 @@ class ScopeGuard {
 };
 
 /// The scope stack of the calling thread, as an opaque handle a job
-/// launcher can capture and re-establish on worker/rank threads. The
-/// nodes live on the capturing thread's stack: valid only while that
-/// thread blocks on the job.
+/// launcher can capture and re-establish in its rank fibers. The nodes
+/// live on the capturing thread's stack: valid only while that thread
+/// runs the job.
 struct ScopeStackHandle {
   detail::ScopeNode* head = nullptr;
 };
@@ -324,10 +319,10 @@ struct ScopeStackHandle {
   return {detail::tl_scope_top};
 }
 
-/// Re-establish a captured scope stack on this thread (rank threads of a
-/// simmpi job). Shards are resolved per-thread, so adopted counts stay
-/// lock-free. No-op when the captured stack is already active (the
-/// single-rank inline path runs on the capturing thread itself).
+/// Re-establish a captured scope stack in this execution context (the
+/// rank fibers of a simmpi job). Shards are resolved per lane, so adopted
+/// counts stay lock-free. No-op when the captured stack is already active
+/// (the single-rank inline path runs on the capturing thread itself).
 class AdoptScopeStack {
  public:
   explicit AdoptScopeStack(ScopeStackHandle handle);

@@ -2,10 +2,9 @@
 //
 // Several layers above util keep per-rank state in C++ thread_local slots
 // (the fault injector's installed context, the trial-control hook, the
-// telemetry scope stack). That was sound while one rank owned one OS
-// thread for the whole job; under the fiber scheduler a rank is a
-// resumable fiber that may suspend on one worker thread and resume on
-// another, so "thread-local" must become "fiber-local". Rather than teach
+// telemetry scope stack). Under the fiber scheduler all ranks of a job
+// share one OS thread, each as a resumable fiber, so "thread-local" must
+// become "fiber-local". Rather than teach
 // simmpi about every layer above it (an inverted dependency), each layer
 // registers its slot here — a (get, set, initial) accessor triple — and
 // the scheduler swaps every registered slot's live value against the
@@ -14,8 +13,8 @@
 //
 // Registration happens from namespace-scope initializers in each layer's
 // translation unit, i.e. before main() and before any fiber exists. A
-// binary that never links a layer simply never migrates that layer's slot
-// — consistent, because it never installs it either.
+// binary that never links a layer simply never swaps that layer's slot —
+// consistent, because it never installs it either.
 #pragma once
 
 #include <array>
@@ -23,7 +22,7 @@
 
 namespace resilience::util {
 
-/// Accessors for one thread_local slot the fiber scheduler must migrate.
+/// Accessors for one thread_local slot the fiber scheduler must swap.
 struct FiberTlsSlot {
   /// Read the calling thread's live value.
   void* (*get)() noexcept;

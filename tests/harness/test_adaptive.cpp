@@ -81,14 +81,15 @@ TEST(Adaptive, StoppingPointIsWorkerCountInvariant) {
 }
 
 TEST(Adaptive, StoppingPointIsSchedulerModeInvariant) {
+  // The scheduler's two collective modes: fused combines (the default)
+  // and the mailbox decomposition they are checked against.
   const auto app = apps::make_app(apps::AppId::LU);
   const DeploymentConfig cfg = adaptive_config(2, 96);
-  simmpi::detail::set_scheduler_fibers_enabled(true);
-  const auto fibers = CampaignRunner::run(*app, cfg);
-  simmpi::detail::set_scheduler_fibers_enabled(false);
-  const auto threads = CampaignRunner::run(*app, cfg);
-  simmpi::detail::reset_scheduler_fibers_enabled();
-  expect_same_outcomes(fibers, threads);
+  const auto fused = CampaignRunner::run(*app, cfg);
+  simmpi::detail::set_fused_collectives_enabled(false);
+  const auto mailbox = CampaignRunner::run(*app, cfg);
+  simmpi::detail::set_fused_collectives_enabled(true);
+  expect_same_outcomes(fused, mailbox);
 }
 
 TEST(Adaptive, StoppingPointIsCheckpointInvariant) {

@@ -63,8 +63,7 @@ TEST(CheckpointDiff, EveryAppInjectedRunBitIdenticalToCheckpointOff) {
     const auto app = apps::make_app(id);
     for (const int nranks : rank_counts(*app)) {
       const auto golden =
-          harness::profile_app(*app, nranks, std::chrono::milliseconds(10'000),
-                               /*capture_checkpoints=*/true);
+          harness::profile_app(*app, nranks, /*capture_checkpoints=*/true);
       ASSERT_NE(golden.checkpoints, nullptr)
           << app->label() << " at " << nranks << " ranks captured nothing";
 
@@ -115,9 +114,8 @@ TEST(CheckpointDiff, HangBudgetRunBitIdenticalAtRestoredBoundary) {
   harness::set_checkpoint_enabled(true);
   const auto app = apps::make_app(apps::AppId::CG);
   const int nranks = 2;
-  const auto golden = harness::profile_app(
-      *app, nranks, std::chrono::milliseconds(10'000),
-      /*capture_checkpoints=*/true);
+  const auto golden =
+      harness::profile_app(*app, nranks, /*capture_checkpoints=*/true);
   ASSERT_NE(golden.checkpoints, nullptr);
 
   // A late plan makes the checkpoint leg restore; a budget between the

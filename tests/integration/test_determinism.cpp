@@ -1,12 +1,11 @@
 // Scheduling-independence stress tests: campaign results must be a pure
-// function of (app, config) regardless of how the OS interleaves the rank
-// threads. This is what makes every number in EXPERIMENTS.md exactly
-// reproducible, and what the profiling pre-pass's dynamic-op indices rely
-// on.
+// function of (app, config) regardless of how many trials run side by
+// side and how collectives execute. This is what makes every number in
+// EXPERIMENTS.md exactly reproducible, and what the profiling pre-pass's
+// dynamic-op indices rely on.
 #include <gtest/gtest.h>
 
 #include "harness/campaign.hpp"
-#include "simmpi/rank_team.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace resilience {
@@ -76,7 +75,7 @@ TEST(Determinism, InjectedRunReplaysExactly) {
 // seed, any worker count produces the same CampaignResult bit for bit —
 // overall counts, contamination histogram, and the per-contamination
 // splits. Exercised across two apps, a serial deployment and a
-// small-parallel one (rank-weighted admission path).
+// small-parallel one.
 TEST(Determinism, ParallelCampaignBitIdenticalToSerial) {
   struct Case {
     apps::AppId id;
@@ -124,12 +123,12 @@ TEST(Determinism, ParallelCampaignBitIdenticalToSerial) {
   }
 }
 
-// The execution-core determinism contract: a campaign is a pure function
-// of (app, config) no matter which scheduler runs it — fibers with fused
-// collectives (the default), fibers decomposing collectives into mailbox
-// messages, or the threads reference core on pooled teams or fresh
-// threads — and no matter how many campaign workers or scheduler workers
-// drive it. The fused/fibers legs guard the production configuration.
+// The execution-mode determinism contract: a campaign is a pure function
+// of (app, config) whether collectives are fused (the default) or
+// decomposed into mailbox messages, and no matter how many campaign
+// workers run trials side by side. The fused legs guard the production
+// configuration; the pre-deletion outputs of the multi-threaded cores
+// live on as fixtures (test_output_fixtures.cpp).
 TEST(Determinism, SchedulerModeCampaignBitIdenticalAcrossCores) {
   const auto app = apps::make_app(apps::AppId::CG);
   DeploymentConfig cfg;
@@ -139,27 +138,19 @@ TEST(Determinism, SchedulerModeCampaignBitIdenticalAcrossCores) {
 
   struct Leg {
     const char* name;
-    bool fibers;
     bool fused;
-    bool team_pool;
-    int sched_workers;        // fibers mode only; 0 = auto
-    std::size_t max_workers;  // campaign executor width
+    int max_workers;  // campaign executor width
   };
   const Leg legs[] = {
-      {"threads/fresh", false, true, false, 0, 1},
-      {"threads/pooled", false, true, true, 0, 8},
-      {"fibers/fused/1w", true, true, true, 1, 1},
-      {"fibers/fused/4w", true, true, true, 4, 8},
-      {"fibers/fused/4w repeat", true, true, true, 4, 8},
-      {"fibers/mailbox", true, false, true, 2, 8},
+      {"fibers/fused/1w", true, 1},
+      {"fibers/fused/8w", true, 8},
+      {"fibers/fused/8w repeat", true, 8},
+      {"fibers/mailbox", false, 8},
   };
   harness::CampaignResult baseline;
   bool have_baseline = false;
   for (const Leg& leg : legs) {
-    simmpi::detail::set_scheduler_fibers_enabled(leg.fibers);
     simmpi::detail::set_fused_collectives_enabled(leg.fused);
-    simmpi::detail::set_scheduler_workers(leg.sched_workers);
-    simmpi::RankTeamPool::set_enabled(leg.team_pool);
     cfg.max_workers = leg.max_workers;
     const auto got = CampaignRunner::run(*app, cfg);
     if (!have_baseline) {
@@ -173,10 +164,7 @@ TEST(Determinism, SchedulerModeCampaignBitIdenticalAcrossCores) {
     EXPECT_EQ(got.contamination_hist, baseline.contamination_hist) << leg.name;
     EXPECT_EQ(got.golden.signature, baseline.golden.signature) << leg.name;
   }
-  simmpi::detail::reset_scheduler_fibers_enabled();
   simmpi::detail::set_fused_collectives_enabled(true);
-  simmpi::detail::set_scheduler_workers(-1);
-  simmpi::RankTeamPool::set_enabled(true);
 }
 
 TEST(Determinism, ParallelCampaignWithFewerTrialsThanWorkers) {

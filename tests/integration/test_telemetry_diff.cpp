@@ -113,11 +113,11 @@ TEST(TelemetryDiff, SameSeedTwiceReportsIdenticalLogicalCounters) {
   }
 }
 
-TEST(TelemetryDiff, FiberMigrationRollsUpEveryCountExactlyOnce) {
-  // Under the fiber scheduler a rank's telemetry lane migrates across
-  // worker threads whenever its fiber is resumed elsewhere. The campaign
+TEST(TelemetryDiff, ConcurrentTrialsRollUpEveryCountExactlyOnce) {
+  // Every rank fiber of every trial writes its own telemetry lane, and
+  // trials run side by side on the executor's threads. The campaign
   // rollup must still fold every shard exactly once: the logical view of
-  // a multi-worker fibers campaign equals the threads-core view bit for
+  // a 4-worker fused campaign equals the serial mailbox-path view bit for
   // bit, and the absolute harness counters match the trial count (a
   // double-fold or dropped shard would show up here, not just as an
   // inequality between legs).
@@ -127,21 +127,20 @@ TEST(TelemetryDiff, FiberMigrationRollsUpEveryCountExactlyOnce) {
   cfg.trials = 15;
   cfg.seed = 20180813;
 
-  simmpi::detail::set_scheduler_fibers_enabled(true);
-  simmpi::detail::set_scheduler_workers(4);  // force cross-worker migration
-  const auto fibers = CampaignRunner::run(*app, cfg);
-  simmpi::detail::set_scheduler_fibers_enabled(false);
-  simmpi::detail::set_scheduler_workers(-1);
-  const auto threads = CampaignRunner::run(*app, cfg);
-  simmpi::detail::reset_scheduler_fibers_enabled();
+  cfg.max_workers = 4;
+  const auto fused = CampaignRunner::run(*app, cfg);
+  cfg.max_workers = 1;
+  simmpi::detail::set_fused_collectives_enabled(false);
+  const auto mailbox = CampaignRunner::run(*app, cfg);
+  simmpi::detail::set_fused_collectives_enabled(true);
 
-  expect_same_campaign(fibers, threads, "fibers@4workers vs threads");
-  EXPECT_TRUE(fibers.metrics.logical_equal(threads.metrics));
-  EXPECT_EQ(fibers.metrics.value(Counter::HarnessTrials), cfg.trials);
-  EXPECT_EQ(fibers.metrics.value(Counter::HarnessCampaigns), 1u);
-  EXPECT_EQ(fibers.metrics.value(Counter::HarnessGoldenProfiles), 1u);
+  expect_same_campaign(fused, mailbox, "fused@4workers vs mailbox@1worker");
+  EXPECT_TRUE(fused.metrics.logical_equal(mailbox.metrics));
+  EXPECT_EQ(fused.metrics.value(Counter::HarnessTrials), cfg.trials);
+  EXPECT_EQ(fused.metrics.value(Counter::HarnessCampaigns), 1u);
+  EXPECT_EQ(fused.metrics.value(Counter::HarnessGoldenProfiles), 1u);
   EXPECT_EQ(
-      fibers.metrics.histogram(telemetry::Histogram::HarnessContaminatedRanks)
+      fused.metrics.histogram(telemetry::Histogram::HarnessContaminatedRanks)
           .total(),
       cfg.trials);
 }

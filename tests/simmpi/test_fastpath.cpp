@@ -1,5 +1,5 @@
-// Failure-delivery and equivalence tests for the fused fiber-mode
-// collectives and the envelope pool.
+// Failure-delivery and equivalence tests for the fused collectives and
+// the envelope pool.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,23 +14,13 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-/// Forces one scheduler configuration for the enclosing scope and drops
-/// every override on destruction (back to env/default resolution).
-struct SchedulerGuard {
-  explicit SchedulerGuard(bool fibers, int workers = -1) {
-    detail::set_scheduler_fibers_enabled(fibers);
-    if (workers >= 0) detail::set_scheduler_workers(workers);
-  }
-  ~SchedulerGuard() {
-    detail::reset_scheduler_fibers_enabled();
-    detail::set_scheduler_workers(-1);
-    detail::set_fused_collectives_enabled(true);
-  }
+/// Restores fused collectives (the default) on scope exit.
+struct FusedRestore {
+  ~FusedRestore() { detail::set_fused_collectives_enabled(true); }
 };
 
-/// Run `body` on the fiber scheduler with fused collectives on.
+/// Run `body` with fused collectives on.
 RunResult run_fused(int nranks, const std::function<void(Comm&)>& body) {
-  SchedulerGuard guard(/*fibers=*/true);
   detail::set_fused_collectives_enabled(true);
   return Runtime::run(nranks, body);
 }
@@ -68,16 +58,15 @@ TEST(FusedCollectives, AbortMidBarrierWakesParkedPeers) {
 
 TEST(FusedCollectives, MissingRankDeadlocksDeterministically) {
   // One rank never joins the collective. The fiber scheduler declares the
-  // deadlock the moment no fiber is runnable — deterministically, without
-  // consuming the threads-mode timeout.
+  // deadlock the moment no fiber is runnable — deterministically, with no
+  // timeout.
   const auto start = steady_clock::now();
   const auto result = run_fused(2, [](Comm& comm) {
     if (comm.rank() == 0) comm.barrier();  // rank 1 never arrives
   });
   EXPECT_TRUE(result.deadlocked);
   EXPECT_EQ(result.failed_rank, 0);
-  // Far below the 10 s default deadlock_timeout: detection was
-  // event-driven, not timer-driven.
+  // Detection is event-driven, not timer-driven.
   EXPECT_LT(steady_clock::now() - start, milliseconds(2500));
 }
 
@@ -98,10 +87,10 @@ TEST(FusedCollectives, CollectiveSizeMismatchAbortsJob) {
       << result.error;
 }
 
-TEST(FusedCollectives, ResultsAndStatsMatchMailboxAndThreadPaths) {
-  // Differential run of a mixed collective sequence: the fused fiber
-  // path, the mailbox fiber path and the threads path must all produce
-  // bit-identical values and identical logical transport stats.
+TEST(FusedCollectives, ResultsAndStatsMatchMailboxPath) {
+  // Differential run of a mixed collective sequence: the fused path and
+  // the mailbox decomposition must produce bit-identical values and
+  // identical logical transport stats.
   const auto body = [](std::vector<double>* out) {
     return [out](Comm& comm) {
       std::vector<double> v(4, 0.25 * (comm.rank() + 1));
@@ -120,7 +109,7 @@ TEST(FusedCollectives, ResultsAndStatsMatchMailboxAndThreadPaths) {
     };
   };
 
-  SchedulerGuard guard(/*fibers=*/true);
+  FusedRestore restore;
   detail::set_fused_collectives_enabled(true);
   std::vector<double> fused_out;
   const auto fused = Runtime::run(6, body(&fused_out));
@@ -128,22 +117,12 @@ TEST(FusedCollectives, ResultsAndStatsMatchMailboxAndThreadPaths) {
   detail::set_fused_collectives_enabled(false);
   std::vector<double> mailbox_out;
   const auto mailbox = Runtime::run(6, body(&mailbox_out));
-  detail::set_fused_collectives_enabled(true);
-
-  detail::set_scheduler_fibers_enabled(false);
-  std::vector<double> threads_out;
-  const auto threads = Runtime::run(6, body(&threads_out));
-  detail::set_scheduler_fibers_enabled(true);
 
   EXPECT_TRUE(fused.ok);
   EXPECT_TRUE(mailbox.ok);
-  EXPECT_TRUE(threads.ok);
   EXPECT_EQ(fused_out, mailbox_out);  // bit-identical values
-  EXPECT_EQ(fused_out, threads_out);
   EXPECT_EQ(fused.messages_sent, mailbox.messages_sent);
-  EXPECT_EQ(fused.messages_sent, threads.messages_sent);
   EXPECT_EQ(fused.bytes_sent, mailbox.bytes_sent);
-  EXPECT_EQ(fused.bytes_sent, threads.bytes_sent);
 }
 
 TEST(FusedCollectives, SplitCommunicatorsUseDistinctFusedGroups) {
@@ -165,7 +144,6 @@ TEST(FusedGroupUnit, DivergedEpochIsReportedNotCollected) {
   detail::FusedGroup group;
   std::byte payload{};
   detail::Arrival arrival{&payload, &payload, 1, nullptr};
-  std::unique_lock lock(group.mutex());
   EXPECT_EQ(group.arrive(0, 7, arrival, 3),
             detail::FusedGroup::ArriveOutcome::Waiter);
   EXPECT_EQ(group.arrive(1, 8, arrival, 3),

@@ -1,9 +1,10 @@
-// Direct unit tests of the mailbox transport primitive.
+// Direct unit tests of the mailbox transport primitive. Blocking cases
+// drive two fibers on a FiberScheduler, exactly as a 2-rank job would.
 #include "simmpi/mailbox.hpp"
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <functional>
 
 namespace resilience::simmpi {
 namespace {
@@ -16,9 +17,20 @@ Envelope make_envelope(int source, int tag, std::size_t bytes = 8) {
   return env;
 }
 
+/// Run `receiver` and `sender` as the two fibers of one scheduler, with
+/// `box` parking its receives on it. The receiver starts first.
+void run_pair(Mailbox& box, const std::function<void()>& receiver,
+              const std::function<void(FiberScheduler&)>& sender) {
+  FiberScheduler sched(2, 64 * 1024);
+  box.set_scheduler(&sched);
+  sched.start([&](int rank) { rank == 0 ? receiver() : sender(sched); });
+  sched.run();
+  box.set_scheduler(nullptr);
+}
+
 TEST(Mailbox, PopMatchesSourceAndTag) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(1, 10));
   box.push(make_envelope(2, 20));
   const Envelope got = box.pop_matching(2, 20);
@@ -29,14 +41,14 @@ TEST(Mailbox, PopMatchesSourceAndTag) {
 
 TEST(Mailbox, WildcardsMatchAnything) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(3, 30));
   EXPECT_EQ(box.pop_matching(kAnySource, kAnyTag).source, 3);
 }
 
 TEST(Mailbox, FifoWithinMatchingMessages) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   for (int i = 0; i < 3; ++i) {
     Envelope env = make_envelope(1, 7, 1);
     env.bytes[0] = static_cast<std::byte>(i);
@@ -49,7 +61,7 @@ TEST(Mailbox, FifoWithinMatchingMessages) {
 
 TEST(Mailbox, NonMatchingMessagesAreSkippedNotConsumed) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(1, 1));
   box.push(make_envelope(1, 2));
   EXPECT_EQ(box.pop_matching(1, 2).tag, 2);
@@ -59,7 +71,7 @@ TEST(Mailbox, NonMatchingMessagesAreSkippedNotConsumed) {
 
 TEST(Mailbox, ProbeDoesNotConsume) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   EXPECT_FALSE(box.probe(1, 1));
   box.push(make_envelope(1, 1));
   EXPECT_TRUE(box.probe(1, 1));
@@ -70,38 +82,47 @@ TEST(Mailbox, ProbeDoesNotConsume) {
 
 TEST(Mailbox, BlockedPopWakesOnPush) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(5000));
-  std::thread producer([&box] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    box.push(make_envelope(0, 9));
-  });
-  const Envelope got = box.pop_matching(0, 9);
-  EXPECT_EQ(got.tag, 9);
-  producer.join();
+  Mailbox box(&abort);
+  int got_tag = -1;
+  run_pair(
+      box, [&] { got_tag = box.pop_matching(0, 9).tag; },
+      [&](FiberScheduler&) { box.push(make_envelope(0, 9)); });
+  EXPECT_EQ(got_tag, 9);
 }
 
-TEST(Mailbox, TimeoutRaisesDeadlock) {
+TEST(Mailbox, EmptyPopOutsideFibersRaisesDeadlock) {
+  // Outside a fiber (a serial job's only rank) nobody can ever send, so
+  // an unmatched receive is a deadlock at once instead of a wait.
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(30));
+  Mailbox box(&abort);
   EXPECT_THROW(box.pop_matching(0, 0), DeadlockError);
 }
 
 TEST(Mailbox, AbortWakesBlockedPop) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(5000));
-  std::thread aborter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    abort.trigger();
-    box.interrupt();
-  });
-  EXPECT_THROW(box.pop_matching(0, 0), AbortError);
-  aborter.join();
+  Mailbox box(&abort);
+  bool aborted = false;
+  run_pair(
+      box,
+      [&] {
+        try {
+          box.pop_matching(0, 0);
+        } catch (const AbortError&) {
+          aborted = true;
+        }
+      },
+      [&](FiberScheduler& sched) {
+        // A job abort: raise the token, then wake every parked fiber.
+        abort.trigger();
+        sched.wake_all_parked();
+      });
+  EXPECT_TRUE(aborted);
 }
 
 TEST(Mailbox, AbortedBoxThrowsImmediately) {
   AbortToken abort;
   abort.trigger();
-  Mailbox box(&abort, std::chrono::milliseconds(5000));
+  Mailbox box(&abort);
   EXPECT_THROW(box.pop_matching(kAnySource, kAnyTag), AbortError);
 }
 
@@ -109,7 +130,7 @@ TEST(Mailbox, WildcardTakesEarliestArrivalAcrossSubQueues) {
   // Matching is indexed by (source, tag); a wildcard receive must still
   // see global arrival order, not per-sub-queue order.
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(2, 20));
   box.push(make_envelope(1, 10));
   box.push(make_envelope(2, 20));
@@ -120,7 +141,7 @@ TEST(Mailbox, WildcardTakesEarliestArrivalAcrossSubQueues) {
 
 TEST(Mailbox, WildcardSourceWithExactTag) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(5, 7));
   box.push(make_envelope(3, 9));
   box.push(make_envelope(4, 7));
@@ -130,35 +151,34 @@ TEST(Mailbox, WildcardSourceWithExactTag) {
 }
 
 TEST(Mailbox, HealthyTrafficDoesNotTriggerDeadlock) {
-  // A receive waiting behind a slow stream of non-matching messages must
-  // not be declared a deadlock just because the stream outlasts one
-  // timeout period: every arrival resets the deadline.
+  // A receive parked behind a stream of non-matching messages is not a
+  // deadlock while its sender is still running; only the match wakes it.
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(150));
-  std::thread producer([&box] {
-    for (int i = 0; i < 10; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(40));
-      box.push(make_envelope(0, 1));  // non-matching traffic
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    box.push(make_envelope(0, 2));  // the match, ~480ms after entry
-  });
-  // Total wait (~480ms) is far beyond the 150ms timeout; only silence
-  // longer than the timeout may count.
-  EXPECT_EQ(box.pop_matching(0, 2).tag, 2);
-  producer.join();
+  Mailbox box(&abort);
+  int got_tag = -1;
+  run_pair(
+      box, [&] { got_tag = box.pop_matching(0, 2).tag; },
+      [&](FiberScheduler&) {
+        for (int i = 0; i < 10; ++i) {
+          box.push(make_envelope(0, 1));  // non-matching traffic
+          FiberScheduler::yield_current();
+        }
+        box.push(make_envelope(0, 2));
+      });
+  EXPECT_EQ(got_tag, 2);
+  EXPECT_EQ(box.pending(), 10u);
 }
 
 TEST(Mailbox, SilenceAfterTrafficStillDeadlocks) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(50));
+  Mailbox box(&abort);
   box.push(make_envelope(0, 1));
   EXPECT_THROW(box.pop_matching(0, 2), DeadlockError);
 }
 
 TEST(Mailbox, BufferPoolRecyclesCapacity) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   Envelope env;
   env.source = 0;
   env.tag = 0;

@@ -63,21 +63,18 @@ TEST(RequestEdge, IrecvPostedBeforeSendDoesNotBlock) {
   // Regression guard for the post-before-send pattern: irecv must defer
   // its matching to wait(). An eager irecv would block rank 1 here before
   // it reaches the barrier, deadlocking the job.
-  const auto result = Runtime::run(
-      2,
-      [](Comm& comm) {
-        if (comm.rank() == 1) {
-          double v = 0.0;
-          Request req = comm.irecv(0, 3, std::span<double>(&v, 1));
-          comm.barrier();  // reachable only if irecv did not receive eagerly
-          EXPECT_EQ(req.wait(), 0);
-          EXPECT_DOUBLE_EQ(v, 2.5);
-        } else {
-          comm.barrier();
-          comm.send_value(1, 3, 2.5);
-        }
-      },
-      RunOptions{.deadlock_timeout = std::chrono::milliseconds(2000)});
+  const auto result = Runtime::run(2, [](Comm& comm) {
+    if (comm.rank() == 1) {
+      double v = 0.0;
+      Request req = comm.irecv(0, 3, std::span<double>(&v, 1));
+      comm.barrier();  // reachable only if irecv did not receive eagerly
+      EXPECT_EQ(req.wait(), 0);
+      EXPECT_DOUBLE_EQ(v, 2.5);
+    } else {
+      comm.barrier();
+      comm.send_value(1, 3, 2.5);
+    }
+  });
   EXPECT_TRUE(result.ok);
 }
 

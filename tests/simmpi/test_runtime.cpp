@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "simmpi/runtime.hpp"
 
@@ -23,6 +26,20 @@ TEST(Runtime, SerialRunsInline) {
   });
   EXPECT_TRUE(result.ok);
   EXPECT_TRUE(body_thread == caller);
+}
+
+TEST(Runtime, MultiRankJobRunsOnCallingThread) {
+  // Every rank is a fiber on the launching thread: parallelism comes from
+  // running jobs side by side, never from spreading one job over threads.
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> rank_threads(8);
+  const auto result = Runtime::run(8, [&](Comm& comm) {
+    comm.barrier();
+    rank_threads[static_cast<std::size_t>(comm.rank())] =
+        std::this_thread::get_id();
+  });
+  EXPECT_TRUE(result.ok);
+  for (const auto id : rank_threads) EXPECT_TRUE(id == caller);
 }
 
 TEST(Runtime, ReportsRankAndSize) {
@@ -49,19 +66,28 @@ TEST(Runtime, ExceptionAbortsJobAndRecordsRank) {
   EXPECT_EQ(result.error, "rank 2 died");
 }
 
-TEST(Runtime, DeadlockTimesOutAndIsFlagged) {
-  RunOptions opts;
-  opts.deadlock_timeout = std::chrono::milliseconds(100);
-  const auto result = Runtime::run(
-      2,
-      [](Comm& comm) {
-        // Both ranks wait for a message that never arrives.
-        double v;
-        comm.recv(1 - comm.rank(), 0, std::span<double>(&v, 1));
-      },
-      opts);
+TEST(Runtime, DeadlockIsDetectedAndFlagged) {
+  const auto result = Runtime::run(2, [](Comm& comm) {
+    // Both ranks wait for a message that never arrives.
+    double v;
+    comm.recv(1 - comm.rank(), 0, std::span<double>(&v, 1));
+  });
   EXPECT_FALSE(result.ok);
   EXPECT_TRUE(result.deadlocked);
+}
+
+TEST(Runtime, SerialSelfReceiveDeadlocksAtOnce) {
+  // A serial job has no other rank that could ever send, so a receive
+  // with no queued match is a deadlock the moment it is posted.
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = Runtime::run(1, [](Comm& comm) {
+    comm.recv_value<double>(0, 0);
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.deadlocked);
+  EXPECT_EQ(result.failed_rank, 0);
 }
 
 TEST(Runtime, FirstFailureWins) {

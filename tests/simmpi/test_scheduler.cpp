@@ -1,16 +1,17 @@
-// Scheduler edge cases, exercised in both execution cores (fibers and
-// threads) via a value-parameterized fixture: deterministic deadlock with
-// zero runnable fibers, abort teardown mid-collective, a 512-rank smoke
-// job (the scale the thread-per-rank core existed to avoid), and pooled
-// resource reuse across an aborted job.
+// Scheduler edge cases: deterministic deadlock with zero runnable
+// fibers, abort teardown mid-collective, a 512-rank smoke job, and pooled
+// resource reuse across an aborted job. The value-parameterized fixture
+// runs each case on both collective paths: "fibers" is the production
+// configuration (fused collectives), "mailbox" decomposes every
+// collective into point-to-point messages.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "simmpi/collective.hpp"
-#include "simmpi/rank_team.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace resilience::simmpi {
@@ -21,41 +22,31 @@ using std::chrono::steady_clock;
 
 class SchedulerModes : public ::testing::TestWithParam<bool> {
  protected:
-  void SetUp() override {
-    detail::set_scheduler_fibers_enabled(GetParam());
-  }
+  void SetUp() override { detail::set_fused_collectives_enabled(GetParam()); }
   void TearDown() override {
-    detail::reset_scheduler_fibers_enabled();
-    detail::set_scheduler_workers(-1);
+    detail::set_fused_collectives_enabled(true);
     detail::set_fiber_stack_kb(0);
   }
-  [[nodiscard]] static bool fibers() { return GetParam(); }
 };
 
 std::string mode_name(const ::testing::TestParamInfo<bool>& param) {
-  return param.param ? "fibers" : "threads";
+  return param.param ? "fibers" : "mailbox";
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, SchedulerModes, ::testing::Bool(), mode_name);
 
 TEST_P(SchedulerModes, ZeroRunnableRanksIsDeadlock) {
-  // Both ranks block receiving a message nobody will send. The fiber
-  // scheduler must declare the deadlock the moment its run queue drains;
-  // the threads core falls back to its timeout.
-  RunOptions opts;
-  opts.deadlock_timeout = milliseconds(200);
+  // Both ranks block receiving a message nobody will send. The scheduler
+  // must declare the deadlock the moment its run queue drains.
   const auto start = steady_clock::now();
-  const auto result = Runtime::run(
-      2,
-      [](Comm& comm) { comm.recv_value<int>(1 - comm.rank(), 0); },
-      opts);
+  const auto result = Runtime::run(2, [](Comm& comm) {
+    comm.recv_value<int>(1 - comm.rank(), 0);
+  });
   EXPECT_TRUE(result.deadlocked);
   EXPECT_TRUE(result.aborted);
   EXPECT_GE(result.failed_rank, 0);
-  if (fibers()) {
-    // Event-driven detection: no fraction of the timeout was consumed.
-    EXPECT_LT(steady_clock::now() - start, milliseconds(150));
-  }
+  // Event-driven detection: no timeout is involved.
+  EXPECT_LT(steady_clock::now() - start, milliseconds(150));
 }
 
 TEST_P(SchedulerModes, AbortMidCollectiveTearsDownEveryParkedRank) {
@@ -78,25 +69,22 @@ TEST_P(SchedulerModes, AbortMidCollectiveTearsDownEveryParkedRank) {
 }
 
 TEST_P(SchedulerModes, AbortRacingActiveCombinesStaysCoherent) {
-  // Regression for a TLS-borrow race: a job abort used to wake fibers
-  // parked on a fused collective while the combiner was replaying their
-  // instrumentation under BorrowFiberTls, letting two threads swap one
-  // fiber's thread-local bank concurrently. Abort wakeups for
-  // group-parked fibers are now deferred to the combiner's complete()
-  // or the no-runnable sweep. The dying rank lives *outside* the
-  // collective's sub-communicator, so its abort lands while the group's
-  // combines are genuinely in flight; multiple workers make the stale
-  // resume physically possible and the tsan run of this suite watches
-  // the TLS swaps.
-  detail::set_scheduler_workers(4);
+  // A job abort lands while a sub-communicator streams collectives: the
+  // dying rank lives *outside* the collective's sub-communicator, so its
+  // abort arrives between combines at a point set by the schedule. Every
+  // parked participant must wake, observe the abort and unwind, and the
+  // per-fiber TLS banks the combiner borrows must stay intact for the
+  // next job.
   for (int round = 0; round < 8; ++round) {
-    const auto result = Runtime::run(12, [](Comm& comm) {
+    const auto result = Runtime::run(12, [round](Comm& comm) {
       const int killer = comm.size() - 1;
       Comm sub = comm.split(comm.rank() == killer ? 1 : 0, comm.rank());
       if (comm.rank() == killer) {
-        // Give the workers' group time to stream collectives, then die
-        // at a scheduling-dependent point of their combine pipeline.
-        for (int i = 0; i < 200; ++i) FiberScheduler::yield_current();
+        // Let the group stream collectives, then die at a point of their
+        // combine pipeline that differs from round to round.
+        for (int i = 0; i < 20 * (round + 1); ++i) {
+          FiberScheduler::yield_current();
+        }
         throw std::runtime_error("outsider dies");
       }
       std::vector<double> buf(256, comm.rank() + 1.0);
@@ -125,7 +113,6 @@ TEST(FusedGroup, StaleEpochArrivalIsRejectedBeforeRecordingState) {
   detail::FusedGroup group;
   FiberScheduler sched(0, 64 * 1024);
   const detail::Arrival arrival;
-  std::unique_lock lock(group.mutex());
   EXPECT_EQ(group.arrive(0, 1, arrival, 2),
             detail::FusedGroup::ArriveOutcome::Waiter);
   EXPECT_EQ(group.arrive(1, 1, arrival, 2),
@@ -143,10 +130,8 @@ TEST(FusedGroup, StaleEpochArrivalIsRejectedBeforeRecordingState) {
 }
 
 TEST_P(SchedulerModes, FiveTwelveRankSmoke) {
-  // 512 ranks: collectives, a ring exchange and a reduction. Under the
-  // fiber core this costs a handful of worker threads; under the threads
-  // core it is the old 512-thread job and doubles as its regression
-  // check.
+  // 512 ranks: collectives, a ring exchange and a reduction, all on the
+  // calling thread.
   const auto result = Runtime::run(512, [](Comm& comm) {
     comm.barrier();
     const int total = comm.allreduce_value(1);
@@ -168,8 +153,7 @@ TEST_P(SchedulerModes, FiveTwelveRankSmoke) {
 
 TEST_P(SchedulerModes, PooledResourcesSurviveAnAbortedJob) {
   // An abort tears a job down mid-flight with ranks parked and pooled
-  // resources (fiber stacks / team threads / envelope buffers) checked
-  // out. The pools must hand all of it back: follow-up jobs of the same
+  // resources (fiber stacks, envelope buffers) checked out. The pools must hand all of it back: follow-up jobs of the same
   // and larger widths run clean.
   const auto aborted = Runtime::run(32, [](Comm& comm) {
     if (comm.rank() == 31) throw std::runtime_error("late rank dies");
@@ -191,42 +175,41 @@ TEST_P(SchedulerModes, PooledResourcesSurviveAnAbortedJob) {
 
 TEST(FiberScheduler, WorkerCountDoesNotChangeResults) {
   // The same job body must produce identical values no matter how many
-  // workers multiplex the fibers (including more workers than ranks ask
-  // for, which the resolver clamps).
-  detail::set_scheduler_fibers_enabled(true);
-  std::vector<double> baseline;
-  for (const int workers : {1, 2, 4, 64}) {
-    detail::set_scheduler_workers(workers);
-    std::vector<double> out;
-    const auto result = Runtime::run(8, [&out](Comm& comm) {
+  // jobs run side by side on other threads: jobs share nothing but the
+  // process-wide stack pool.
+  const auto job = [](std::vector<double>* out) {
+    return Runtime::run(8, [out](Comm& comm) {
       std::vector<double> v(3, 1.5 * (comm.rank() + 1));
       std::vector<double> sum(3);
       comm.allreduce(std::span<const double>(v), std::span<double>(sum));
-      if (comm.rank() == 0) out = sum;
+      if (comm.rank() == 0) *out = sum;
     });
-    EXPECT_TRUE(result.ok);
-    if (baseline.empty()) {
-      baseline = out;
-    } else {
-      EXPECT_EQ(out, baseline) << workers << " workers";
+  };
+  std::vector<double> baseline;
+  ASSERT_TRUE(job(&baseline).ok);
+  for (const int workers : {2, 4}) {
+    std::vector<std::vector<double>> outs(static_cast<std::size_t>(workers));
+    std::vector<std::thread> threads;
+    for (auto& out : outs) {
+      threads.emplace_back([&job, &out] { EXPECT_TRUE(job(&out).ok); });
+    }
+    for (auto& t : threads) t.join();
+    for (const auto& out : outs) {
+      EXPECT_EQ(out, baseline) << workers << " concurrent jobs";
     }
   }
-  detail::set_scheduler_workers(-1);
-  detail::reset_scheduler_fibers_enabled();
 }
 
 TEST(FiberScheduler, TinyStacksStillRunLeafWork) {
   // The configured floor (16 KiB) plus guard page must be enough for a
   // rank that only does transport calls — the scheduler's own frames and
   // the mailbox path must not assume a deep stack.
-  detail::set_scheduler_fibers_enabled(true);
   detail::set_fiber_stack_kb(16);
   const auto result = Runtime::run(4, [](Comm& comm) {
     EXPECT_EQ(comm.allreduce_value(1), 4);
   });
   EXPECT_TRUE(result.ok) << result.error;
   detail::set_fiber_stack_kb(0);
-  detail::reset_scheduler_fibers_enabled();
 }
 
 }  // namespace

@@ -260,7 +260,7 @@ TEST(TraceSession, ChromeTraceSinkWritesOneDocument) {
   TraceSession::start(std::make_shared<ChromeTraceSink>(path));
   {
     TraceSpan span("core", "study");
-    trace_instant("simmpi", "team_pool_prewarm", "teams", 4);
+    trace_instant("harness", "checkpoint_restore", "iteration", 4);
   }
   TraceSession::stop();
 
@@ -275,7 +275,7 @@ TEST(TraceSession, ChromeTraceSinkWritesOneDocument) {
   EXPECT_EQ(events[0].at("ph").as_string(), "B");
   EXPECT_EQ(events[1].at("ph").as_string(), "i");
   EXPECT_EQ(events[1].at("s").as_string(), "t");
-  EXPECT_EQ(events[1].at("args").at("teams").as_int(), 4);
+  EXPECT_EQ(events[1].at("args").at("iteration").as_int(), 4);
   EXPECT_EQ(events[2].at("ph").as_string(), "E");
   for (const auto& e : events) EXPECT_EQ(e.at("pid").as_int(), 1);
 }
