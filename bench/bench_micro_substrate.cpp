@@ -125,8 +125,8 @@ BENCHMARK(BM_RealAxpyTelemetryScoped)->Repetitions(9);
 
 // ---- instrumented-arithmetic fast path (DESIGN.md §8) ----------------------
 // The per-op legs above run in the production configuration (countdown
-// fast path). The *Reference legs below pin RESILIENCE_FAST_REAL=0 — the
-// pre-countdown implementation — so tools/merge_bench.py can derive
+// fast path). The *Reference legs below pin set_fast_real_enabled(false)
+// — the pre-countdown implementation — so tools/merge_bench.py can derive
 // real_scalar_speedup (acceptance bar: >= 3x unarmed) and
 // blocked_dot_speedup (>= 5x) from the same dump.
 

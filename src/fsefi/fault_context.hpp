@@ -37,10 +37,11 @@
 //     account the whole block with two bulk adds.
 //
 // The pre-countdown logic is kept alive, bit-identical, as the reference
-// path: RESILIENCE_FAST_REAL=0 (or set_fast_real_enabled(false) before
-// the context is reset/armed) routes every op through it, and the
-// differential tests assert that profiles, filtered indices, injection
-// traces, and campaign results match the fast path exactly.
+// path and differential oracle: set_fast_real_enabled(false) before the
+// context is reset/armed routes every op through it, and the differential
+// tests (and the bench's Reference legs) assert that profiles, filtered
+// indices, injection traces, and campaign results match the fast path
+// exactly. It has no environment knob: no run outside those needs it.
 #pragma once
 
 #include <bit>
@@ -81,9 +82,8 @@ inline bool values_diverge(double primary, double shadow) noexcept {
 }
 
 /// Whether newly reset/armed FaultContexts use the countdown fast path
-/// (default) or the pre-countdown reference implementation. The
-/// RESILIENCE_FAST_REAL env var ("0" disables) sets the default;
-/// set_fast_real_enabled() forces it per process (tests and benches).
+/// (default) or the pre-countdown reference implementation;
+/// set_fast_real_enabled() selects it per process (tests and benches).
 [[nodiscard]] bool fast_real_enabled() noexcept;
 void set_fast_real_enabled(bool enabled) noexcept;
 
@@ -278,7 +278,7 @@ class FaultContext {
   /// Per-op dispatch state, one byte so the hot path branches on a single
   /// load. FastIdle: countdown fast path with nothing armed to fire (no
   /// pending injection point, no budget). FastLive: countdown running.
-  /// Reference: RESILIENCE_FAST_REAL=0.
+  /// Reference: set_fast_real_enabled(false).
   enum class HotState : std::uint8_t { FastIdle = 0, FastLive = 1,
                                        Reference = 2 };
 
@@ -303,7 +303,7 @@ class FaultContext {
   /// injections due at this op, and recomputes the countdown.
   void on_event(OpKind kind, double& a, double& b);
 
-  /// The pre-countdown per-op implementation (RESILIENCE_FAST_REAL=0):
+  /// The pre-countdown per-op implementation (the differential oracle):
   /// op-total bump, budget check, two mask lookups, and a linear point
   /// match per op. Kept out of line so the fast path stays small enough
   /// to inline.

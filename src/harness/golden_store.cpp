@@ -6,25 +6,19 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "harness/checkpoint.hpp"
-#include "harness/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/binio.hpp"
-#include "util/json.hpp"
-#include "util/options.hpp"
 
 namespace resilience::harness {
 
 namespace {
 
-constexpr const char* kStoreSchema = "resilience-golden-store/1";
 /// How long a contender waits for a lock holder before declaring the lock
 /// stale (a crashed filler) and taking over.
 constexpr auto kLockBudget = std::chrono::seconds(10);
@@ -61,6 +55,10 @@ enum V2Section : std::uint32_t {
 
 constexpr std::size_t kProfileCells =
     static_cast<std::size_t>(fsefi::kNumRegions) * fsefi::kNumOpKinds;
+/// Smallest encoding of one boundary record: iter, stored flag, and the
+/// profile and digest counts. Bounds a claimed boundary count before the
+/// loader reserves for it.
+constexpr std::size_t kMinBoundaryBytes = 4 + 1 + 8 + 8;
 
 /// App label + rank count, reduced to a portable file stem: alphanumerics
 /// kept, every other run of characters collapsed to one '_'.
@@ -89,8 +87,8 @@ void write_profiles(util::BinWriter& w,
 }
 
 std::vector<fsefi::OpCountProfile> read_profiles(util::BinReader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<fsefi::OpCountProfile> profiles(n);
+  std::vector<fsefi::OpCountProfile> profiles(
+      r.count(kProfileCells * sizeof(std::uint64_t)));
   for (auto& p : profiles) {
     r.u64_array(std::span<std::uint64_t>(&p.counts[0][0], kProfileCells));
   }
@@ -103,7 +101,7 @@ void write_doubles(util::BinWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> read_doubles(util::BinReader& r) {
-  std::vector<double> v(r.u64());
+  std::vector<double> v(r.count(sizeof(double)));
   r.f64_array(v);
   return v;
 }
@@ -232,6 +230,9 @@ std::shared_ptr<const GoldenRun> decode_golden_v2(
     std::uint64_t offset;
     std::uint64_t size;
   };
+  if (nsections > header.remaining() / kV2TableEntrySize) {
+    throw util::BinError("golden store: section table out of range");
+  }
   std::vector<TableEntry> table(nsections);
   for (TableEntry& e : table) {
     e.id = header.u32();
@@ -273,7 +274,7 @@ std::shared_ptr<const GoldenRun> decode_golden_v2(
     golden->max_rank_ops = r.u64();
     golden->profiles = read_profiles(r);
     golden->signature = read_doubles(r);
-    golden->recv_reals.resize(r.u64());
+    golden->recv_reals.resize(r.count(sizeof(std::uint64_t)));
     r.u64_array(golden->recv_reals);
   }
   bool has_cp = false;
@@ -283,19 +284,19 @@ std::shared_ptr<const GoldenRun> decode_golden_v2(
     auto cp = std::make_shared<CheckpointData>();
     cp->nranks = r.i32();
     cp->iterations = r.i32();
-    cp->state_reals.resize(r.u64());
+    cp->state_reals.resize(r.count(sizeof(std::uint64_t)));
     r.u64_array(cp->state_reals);
     cp->signature = read_doubles(r);
     cp->final_profiles = read_profiles(r);
     const auto cp_ranks = static_cast<std::size_t>(cp->nranks);
-    const std::uint64_t nbound = r.u64();
+    const std::size_t nbound = r.count(kMinBoundaryBytes);
     cp->boundaries.reserve(nbound);
-    for (std::uint64_t b = 0; b < nbound; ++b) {
+    for (std::size_t b = 0; b < nbound; ++b) {
       BoundaryRecord rec;
       rec.iter = r.i32();
       const bool stored = r.u8() != 0;
       rec.profiles = read_profiles(r);
-      rec.digests.resize(r.u64());
+      rec.digests.resize(r.count(sizeof(std::uint64_t)));
       r.u64_array(rec.digests);
       if (rec.profiles.size() != cp_ranks || rec.digests.size() != cp_ranks) {
         throw util::BinError("golden store: boundary has the wrong shape");
@@ -349,25 +350,9 @@ void unlink_corrupt(const std::string& path) {
   telemetry::count(telemetry::Counter::GoldenStoreRefills);
 }
 
-StoreFormat format_from_runtime() {
-  // Binary output is gated on binio support; the JSON fallback keeps
-  // exotic hosts functional (and able to share a store directory).
-  if (!util::binio_host_supported()) return StoreFormat::JsonV1;
-  return util::RuntimeOptions::global().store_binary ? StoreFormat::BinaryV2
-                                                     : StoreFormat::JsonV1;
-}
-
 }  // namespace
 
-GoldenStore::GoldenStore(std::string dir)
-    : GoldenStore(std::move(dir), format_from_runtime()) {}
-
-GoldenStore::GoldenStore(std::string dir, StoreFormat write_format)
-    : dir_(std::move(dir)), write_format_(write_format) {
-  if (write_format_ == StoreFormat::BinaryV2 &&
-      !util::binio_host_supported()) {
-    write_format_ = StoreFormat::JsonV1;
-  }
+GoldenStore::GoldenStore(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec) {
@@ -377,15 +362,8 @@ GoldenStore::GoldenStore(std::string dir, StoreFormat write_format)
 }
 
 std::string GoldenStore::path_for(const apps::App& app, int nranks) const {
-  return path_for(app, nranks, write_format_);
-}
-
-std::string GoldenStore::path_for(const apps::App& app, int nranks,
-                                  StoreFormat format) const {
-  const std::string stem =
-      dir_ + "/" + sanitize(app.label()) + "-r" + std::to_string(nranks);
-  return format == StoreFormat::BinaryV2 ? stem + "-v2.bin"
-                                         : stem + "-v1.json";
+  return dir_ + "/" + sanitize(app.label()) + "-r" + std::to_string(nranks) +
+         "-v2.bin";
 }
 
 std::shared_ptr<const GoldenRun> GoldenStore::load(const apps::App& app,
@@ -405,85 +383,23 @@ std::shared_ptr<const GoldenRun> GoldenStore::load_impl(const apps::App& app,
     return golden;
   };
 
-  // v2 binary first (never on hosts that cannot parse it — their file,
-  // if any, may belong to a supported host sharing the directory).
-  if (util::binio_host_supported()) {
-    const std::string v2 = path_for(app, nranks, StoreFormat::BinaryV2);
-    if (const auto map = util::MappedFile::open(v2)) {
-      try {
-        auto golden = decode_golden_v2(map, app.label(), nranks);
-        if (golden != nullptr) return hit(std::move(golden));
-        return miss();  // checkpoint-settings mismatch, file left in place
-      } catch (const std::exception&) {
-        unlink_corrupt(v2);  // fall through to the v1 file, if any
-      }
-    }
-  }
-
-  const std::string v1 = path_for(app, nranks, StoreFormat::JsonV1);
-  std::ifstream in(v1);
-  if (!in) return miss();
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::string path = path_for(app, nranks);
+  const auto map = util::MappedFile::open(path);
+  if (!map) return miss();
   try {
-    const util::Json json = util::Json::parse(buffer.str());
-    if (json.at("schema").as_string() != kStoreSchema ||
-        json.at("app").as_string() != app.label() ||
-        static_cast<int>(json.at("nranks").as_int()) != nranks) {
-      throw util::JsonError("golden store: key mismatch");
-    }
-    const bool file_ckpt = json.at("checkpoint_enabled").as_bool();
-    const auto file_budget =
-        static_cast<std::size_t>(json.at("checkpoint_budget").as_int());
-    if (!file_ckpt || file_budget != checkpoint_budget()) {
-      return miss();
-    }
-    auto golden =
-        std::make_shared<GoldenRun>(golden_from_json(json.at("golden")));
-    if (write_format_ == StoreFormat::BinaryV2) {
-      // Store upgrade: the v1 file is served this once, rewritten as v2,
-      // and removed, so the key converges on the binary format.
-      try {
-        put(app, nranks, *golden);
-      } catch (const std::exception&) {
-        // An unwritable store is a performance problem, not an error.
-      }
-    }
-    return hit(std::move(golden));
+    auto golden = decode_golden_v2(map, app.label(), nranks);
+    if (golden != nullptr) return hit(std::move(golden));
+    return miss();  // checkpoint-settings mismatch, file left in place
   } catch (const std::exception&) {
-    // Corrupt, truncated, or mismatched content: unlink so the next fill
-    // starts clean, and report a plain miss.
-    unlink_corrupt(v1);
+    unlink_corrupt(path);
     return miss();
   }
 }
 
 void GoldenStore::put(const apps::App& app, int nranks,
                       const GoldenRun& golden) {
-  const std::string path = path_for(app, nranks);
-  if (write_format_ == StoreFormat::BinaryV2) {
-    write_file_atomic(path, encode_golden_v2(app.label(), nranks, golden));
-  } else {
-    util::JsonObject obj;
-    obj["schema"] = util::Json(kStoreSchema);
-    obj["app"] = util::Json(app.label());
-    obj["nranks"] = util::Json(nranks);
-    obj["checkpoint_enabled"] = util::Json(true);
-    obj["checkpoint_budget"] = util::Json(checkpoint_budget());
-    obj["golden"] = golden_to_json(golden);
-    const std::string text = util::Json(std::move(obj)).dump(2) + "\n";
-    write_file_atomic(
-        path, std::span<const std::byte>(
-                  reinterpret_cast<const std::byte*>(text.data()),
-                  text.size()));
-  }
-  // Drop the other format's file so the key stays canonical (loads would
-  // otherwise keep serving whichever format sorts first).
-  const StoreFormat other = write_format_ == StoreFormat::BinaryV2
-                                ? StoreFormat::JsonV1
-                                : StoreFormat::BinaryV2;
-  std::error_code ec;
-  std::filesystem::remove(path_for(app, nranks, other), ec);
+  write_file_atomic(path_for(app, nranks),
+                    encode_golden_v2(app.label(), nranks, golden));
 }
 
 std::shared_ptr<const GoldenRun> GoldenStore::load_or_fill(

@@ -3,19 +3,12 @@
 #include <fstream>
 #include <sstream>
 
-#include "harness/checkpoint.hpp"
-#include "util/encoding.hpp"
 
 namespace resilience::harness {
 
 namespace {
 
 constexpr int kSchemaVersion = 1;
-// v2: delivered-Real counts (recv_reals) + per-rank boundary-state element
-// counts (checkpoints.state_reals) — the payload and resident-state sample
-// spaces. Golden stores treat a version mismatch as a cache miss and
-// re-profile, so no migration path is needed.
-constexpr int kGoldenSchemaVersion = 2;
 
 util::Json profile_to_json(const fsefi::OpCountProfile& prof) {
   util::JsonArray counts;
@@ -278,119 +271,6 @@ CampaignResult campaign_from_json(const util::Json& json) {
     result.adaptive = adaptive_from_json(it->second);
   }
   return result;
-}
-
-util::Json golden_to_json(const GoldenRun& golden) {
-  util::JsonObject obj;
-  obj["version"] = util::Json(kGoldenSchemaVersion);
-  util::JsonArray signature;
-  for (double v : golden.signature) signature.push_back(util::Json(v));
-  obj["signature"] = util::Json(std::move(signature));
-  obj["max_rank_ops"] = util::Json(golden.max_rank_ops);
-  util::JsonArray profiles;
-  for (const auto& prof : golden.profiles) {
-    profiles.push_back(profile_to_json(prof));
-  }
-  obj["profiles"] = util::Json(std::move(profiles));
-  util::JsonArray recv;
-  for (std::uint64_t c : golden.recv_reals) recv.push_back(util::Json(c));
-  obj["recv_reals"] = util::Json(std::move(recv));
-  if (golden.checkpoints != nullptr) {
-    const CheckpointData& cp = *golden.checkpoints;
-    util::JsonObject cpj;
-    cpj["nranks"] = util::Json(cp.nranks);
-    cpj["iterations"] = util::Json(cp.iterations);
-    util::JsonArray state_reals;
-    for (std::uint64_t c : cp.state_reals) {
-      state_reals.push_back(util::Json(c));
-    }
-    cpj["state_reals"] = util::Json(std::move(state_reals));
-    util::JsonArray cpsig;
-    for (double v : cp.signature) cpsig.push_back(util::Json(v));
-    cpj["signature"] = util::Json(std::move(cpsig));
-    util::JsonArray finals;
-    for (const auto& prof : cp.final_profiles) {
-      finals.push_back(profile_to_json(prof));
-    }
-    cpj["final_profiles"] = util::Json(std::move(finals));
-    util::JsonArray boundaries;
-    for (const BoundaryRecord& rec : cp.boundaries) {
-      util::JsonObject recj;
-      recj["iter"] = util::Json(rec.iter);
-      util::JsonArray recp;
-      for (const auto& prof : rec.profiles) recp.push_back(profile_to_json(prof));
-      recj["profiles"] = util::Json(std::move(recp));
-      util::JsonArray digests;
-      for (std::uint64_t d : rec.digests) digests.push_back(util::Json(d));
-      recj["digests"] = util::Json(std::move(digests));
-      // Per-rank base64 state; empty array at boundaries outside the
-      // storage budget (stored() is false on both sides of a round trip).
-      util::JsonArray state;
-      for (const auto& bytes : rec.state) {
-        state.push_back(util::Json(util::base64_encode(bytes.bytes())));
-      }
-      recj["state"] = util::Json(std::move(state));
-      boundaries.push_back(util::Json(std::move(recj)));
-    }
-    cpj["boundaries"] = util::Json(std::move(boundaries));
-    obj["checkpoints"] = util::Json(std::move(cpj));
-  }
-  return util::Json(std::move(obj));
-}
-
-GoldenRun golden_from_json(const util::Json& json) {
-  if (json.at("version").as_int() != kGoldenSchemaVersion) {
-    throw util::JsonError("unsupported golden schema version");
-  }
-  GoldenRun golden;
-  for (const auto& item : json.at("signature").as_array()) {
-    golden.signature.push_back(item.as_double());
-  }
-  golden.max_rank_ops =
-      static_cast<std::uint64_t>(json.at("max_rank_ops").as_int());
-  for (const auto& item : json.at("profiles").as_array()) {
-    golden.profiles.push_back(profile_from_json(item));
-  }
-  for (const auto& item : json.at("recv_reals").as_array()) {
-    golden.recv_reals.push_back(static_cast<std::uint64_t>(item.as_int()));
-  }
-  const auto& obj = json.as_object();
-  if (const auto it = obj.find("checkpoints"); it != obj.end()) {
-    const auto& cpj = it->second;
-    auto cp = std::make_shared<CheckpointData>();
-    cp->nranks = static_cast<int>(cpj.at("nranks").as_int());
-    cp->iterations = static_cast<int>(cpj.at("iterations").as_int());
-    for (const auto& item : cpj.at("state_reals").as_array()) {
-      cp->state_reals.push_back(static_cast<std::uint64_t>(item.as_int()));
-    }
-    for (const auto& item : cpj.at("signature").as_array()) {
-      cp->signature.push_back(item.as_double());
-    }
-    for (const auto& item : cpj.at("final_profiles").as_array()) {
-      cp->final_profiles.push_back(profile_from_json(item));
-    }
-    const auto nranks = static_cast<std::size_t>(cp->nranks);
-    for (const auto& item : cpj.at("boundaries").as_array()) {
-      BoundaryRecord rec;
-      rec.iter = static_cast<int>(item.at("iter").as_int());
-      for (const auto& prof : item.at("profiles").as_array()) {
-        rec.profiles.push_back(profile_from_json(prof));
-      }
-      for (const auto& digest : item.at("digests").as_array()) {
-        rec.digests.push_back(static_cast<std::uint64_t>(digest.as_int()));
-      }
-      for (const auto& state : item.at("state").as_array()) {
-        rec.state.push_back(util::base64_decode(state.as_string()));
-      }
-      if (rec.profiles.size() != nranks || rec.digests.size() != nranks ||
-          (!rec.state.empty() && rec.state.size() != nranks)) {
-        throw util::JsonError("checkpoint boundary has the wrong shape");
-      }
-      cp->boundaries.push_back(std::move(rec));
-    }
-    golden.checkpoints = std::move(cp);
-  }
-  return golden;
 }
 
 void save_campaign(const std::string& path, const CampaignResult& result) {

@@ -14,18 +14,6 @@ namespace resilience::harness {
 /// Campaign -> JSON value (schema versioned via a "version" field).
 util::Json to_json(const CampaignResult& result);
 
-/// Golden run -> JSON value, with full fidelity: profiles, signature,
-/// max_rank_ops, and — unlike the campaign schema's runtime-only view —
-/// the captured boundary checkpoints (digests, op profiles, base64 rank
-/// state), so a golden run loaded back from disk drives the checkpoint
-/// fast path exactly like a freshly profiled one. Used by the on-disk
-/// GoldenStore; versioned via its own "version" field.
-util::Json golden_to_json(const GoldenRun& golden);
-
-/// JSON value -> golden run; throws util::JsonError on schema mismatch or
-/// malformed shape.
-GoldenRun golden_from_json(const util::Json& json);
-
 /// JSON value -> campaign; throws util::JsonError on schema mismatch.
 CampaignResult campaign_from_json(const util::Json& json);
 

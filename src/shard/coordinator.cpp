@@ -95,7 +95,7 @@ class Coordinator {
     for (Worker& w : workers_) {
       if (w.fd < 0) continue;
       try {
-        write_message(w.fd, opts_.wire, ShutdownMsg{});
+        write_message(w.fd, ShutdownMsg{});
       } catch (...) {
       }
       ::close(w.fd);
@@ -238,8 +238,8 @@ class Coordinator {
     try {
       // Handshake first, init pipelined behind it: the worker validates
       // the handshake before it parses anything else.
-      write_handshake(w.fd, opts_.wire);
-      write_message(w.fd, opts_.wire, init);
+      write_handshake(w.fd);
+      write_message(w.fd, init);
     } catch (const std::exception&) {
       // A worker that died before reading init surfaces as EOF in the
       // event loop; the recovery path there replaces it.
@@ -258,9 +258,8 @@ class Coordinator {
     const std::size_t id = pending_.front();
     pending_.pop_front();
     try {
-      write_message(w.fd, opts_.wire,
-                    UnitMsg{static_cast<std::uint64_t>(id),
-                            (*units_)[id].refs});
+      write_message(w.fd, UnitMsg{static_cast<std::uint64_t>(id),
+                                  (*units_)[id].refs});
     } catch (const std::exception&) {
       pending_.push_front(id);
       handle_worker_down(slot);
@@ -293,7 +292,7 @@ class Coordinator {
     }
     Message msg;
     try {
-      msg = decode_message(*payload, opts_.wire);
+      msg = decode_message(*payload);
     } catch (const std::exception& e) {
       last_error_ = e.what();
       handle_worker_down(slot);
@@ -327,8 +326,8 @@ class Coordinator {
   }
 
   /// First frame from a fresh worker: its handshake echo — or, when the
-  /// worker bailed out (wire-format mismatch, bad environment), its error
-  /// frame, whose message is worth keeping over a generic parse failure.
+  /// worker bailed out (protocol-version mismatch, bad environment), its
+  /// error frame, whose message is worth keeping over a generic parse failure.
   void handle_handshake(std::size_t slot, std::span<const std::byte> payload) {
     Worker& w = workers_[slot];
     if (const auto hs = parse_handshake(payload)) {
@@ -339,19 +338,11 @@ class Coordinator {
         handle_worker_down(slot);
         return;
       }
-      if (hs->format != opts_.wire) {
-        last_error_ =
-            std::string("shard: wire format mismatch: worker uses ") +
-            wire_format_name(hs->format) + ", coordinator uses " +
-            wire_format_name(opts_.wire);
-        handle_worker_down(slot);
-        return;
-      }
       w.handshaken = true;
       return;
     }
     try {
-      const Message msg = decode_message(payload, opts_.wire);
+      const Message msg = decode_message(payload);
       if (const auto* error = std::get_if<ErrorMsg>(&msg)) {
         last_error_ = error->message;
         w.errored = true;
@@ -412,7 +403,6 @@ ShardOptions ShardOptions::from_runtime() {
   s.shards = opt.shards;
   s.golden_store_dir = opt.golden_store;
   s.debug_kill_unit = opt.shard_kill_unit;
-  s.wire = wire_format_from_runtime();
   return s;
 }
 

@@ -2,11 +2,12 @@
 //
 // The coordinator splits a campaign's trials into work units of TrialRefs
 // and farms them to worker processes (the same binary re-exec'd with
-// --shard-worker) over Unix-domain socketpairs. Because a trial's
-// randomness is a pure function of (config.seed, ref) and tallies are
-// folded in ref order, the merged result is bit-identical to
-// CampaignRunner::run on one process — sharding is execution policy, like
-// the in-process executor's worker count.
+// --shard-worker) over Unix-domain socketpairs, speaking the binary
+// frames of shard/protocol.hpp. Because a trial's randomness is a pure
+// function of (config.seed, ref) and tallies are folded in ref order, the
+// merged result is bit-identical to CampaignRunner::run on one process —
+// sharding is execution policy, like the in-process executor's worker
+// count.
 //
 // The golden pre-pass runs exactly once: the coordinator fills the
 // on-disk GoldenStore before spawning workers, and workers load the
@@ -45,14 +46,9 @@ struct ShardOptions {
   /// SIGKILLs itself after completing this many units, exercising the
   /// recovery path. -1 = off.
   int debug_kill_unit = -1;
-  /// Frame encoding the coordinator speaks and expects workers to echo in
-  /// the handshake. Workers resolve theirs from RESILIENCE_WIRE (which
-  /// they inherit), so the two agree unless the environment is changed
-  /// between spawn and exec — which the handshake then rejects.
-  WireFormat wire = WireFormat::Binary;
 
   /// Resolve from RESILIENCE_SHARDS / RESILIENCE_GOLDEN_STORE /
-  /// RESILIENCE_SHARD_KILL / RESILIENCE_WIRE (util::RuntimeOptions).
+  /// RESILIENCE_SHARD_KILL (util::RuntimeOptions).
   static ShardOptions from_runtime();
 };
 

@@ -2,13 +2,12 @@
 //
 // Coordinator and workers exchange length-prefixed frames over a
 // Unix-domain socketpair: a 4-byte little-endian payload length followed
-// by the payload. Two payload encodings exist, selected by the
-// RESILIENCE_WIRE knob: "binary" (default) packs messages with the binio
-// writer, "json" is the UTF-8 JSON fallback. The first frame in each
-// direction is a fixed-layout handshake (magic, protocol version, wire
-// format) that both sides validate, so a coordinator and worker that
-// disagree — mixed binaries, or RESILIENCE_WIRE drift between spawn and
-// exec — reject each other with a clear error instead of misparsing.
+// by the payload, packed with the binio writer. Workers are this same
+// binary re-exec'd from /proc/self/exe, so there is one encoding and no
+// negotiation; the first frame in each direction is still a fixed-layout
+// handshake (magic, protocol version) that both sides validate, so a
+// peer that is not speaking this protocol version is rejected with a
+// clear error instead of misparsed.
 //
 // Message vocabulary:
 //   coordinator -> worker
@@ -38,21 +37,25 @@
 
 namespace resilience::shard {
 
-/// Payload encoding of the shard frames.
-enum class WireFormat : std::uint8_t { Json = 0, Binary = 1 };
-
-[[nodiscard]] const char* wire_format_name(WireFormat format) noexcept;
-
-/// Resolve RESILIENCE_WIRE (binary unless the host lacks binio support).
-[[nodiscard]] WireFormat wire_format_from_runtime();
-
-/// Bumped on any incompatible change to the handshake or either payload
+/// Bumped on any incompatible change to the handshake or the payload
 /// encoding; peers with different versions refuse to talk.
 /// v3: the deployment config carries the full FaultScenario descriptor
 /// (domain/pattern/arrival/kinds/regions/mtbf) instead of the legacy
 /// kinds/pattern/regions triple.
 /// v4: the deployment config no longer carries a deadlock timeout.
-inline constexpr std::uint32_t kShardProtocolVersion = 4;
+/// v5: binary frames only; the handshake drops its wire-format byte.
+inline constexpr std::uint32_t kShardProtocolVersion = 5;
+
+/// Compatibility shim for the end-to-end benchmark (perfbench/driver.cpp),
+/// whose source is held fixed so its runs stay comparable across versions
+/// and which still names a wire format. Binary frames are the only
+/// encoding: the one enumerator, the resolver and the ignored `format`
+/// parameters of encode_message/decode_message exist only so that the
+/// benchmark keeps compiling unchanged.
+enum class WireFormat : std::uint8_t { Binary = 1 };
+[[nodiscard]] inline WireFormat wire_format_from_runtime() noexcept {
+  return WireFormat::Binary;
+}
 
 // ---- raw frames ------------------------------------------------------------
 
@@ -68,8 +71,8 @@ void write_frame_bytes(int fd, std::span<const std::byte> payload,
 /// mid-write) or a length prefix over the frame cap.
 [[nodiscard]] std::optional<std::vector<std::byte>> read_frame_bytes(int fd);
 
-/// JSON-frame convenience used by the study service (whose request API
-/// stays JSON regardless of RESILIENCE_WIRE).
+/// JSON-frame convenience used by the study service (whose external
+/// request API is JSON).
 void write_frame(int fd, const util::Json& message);
 [[nodiscard]] std::optional<util::Json> read_frame(int fd);
 
@@ -77,23 +80,21 @@ void write_frame(int fd, const util::Json& message);
 
 struct Handshake {
   std::uint32_t version = kShardProtocolVersion;
-  WireFormat format = WireFormat::Binary;
 };
 
-[[nodiscard]] std::vector<std::byte> encode_handshake(WireFormat format);
+[[nodiscard]] std::vector<std::byte> encode_handshake();
 /// Parse a payload as a handshake; nullopt when it is not one (wrong
-/// magic or size — e.g. an error frame from a bailing worker).
+/// magic or too short — e.g. an error frame from a bailing worker).
 [[nodiscard]] std::optional<Handshake> parse_handshake(
     std::span<const std::byte> payload);
 
 /// Send this side's handshake (always the first frame written).
-void write_handshake(int fd, WireFormat format);
+void write_handshake(int fd);
 
-/// Read the peer's first frame and require a handshake matching
-/// `expected` in version and format; throws std::runtime_error naming
-/// the mismatch (including a peer that is not speaking the protocol at
-/// all, or a clean EOF).
-[[nodiscard]] Handshake read_handshake(int fd, WireFormat expected);
+/// Read the peer's first frame and require a handshake of this protocol
+/// version; throws std::runtime_error naming the mismatch (including a
+/// peer that is not speaking the protocol at all, or a clean EOF).
+[[nodiscard]] Handshake read_handshake(int fd);
 
 // ---- messages --------------------------------------------------------------
 
@@ -130,31 +131,32 @@ struct ShutdownMsg {};
 using Message =
     std::variant<InitMsg, ReadyMsg, UnitMsg, ResultMsg, ErrorMsg, ShutdownMsg>;
 
-/// Encode/decode one message payload (no framing) — also the substrate of
-/// the serialization bench legs. decode_message throws std::runtime_error
-/// / util::BinError / util::JsonError on malformed payloads.
-[[nodiscard]] std::vector<std::byte> encode_message(const Message& message,
-                                                    WireFormat format);
-[[nodiscard]] Message decode_message(std::span<const std::byte> payload,
-                                     WireFormat format);
+/// Encode/decode one message payload (no framing). decode_message throws
+/// util::BinError on a malformed payload — truncated, an unknown tag, an
+/// element count the payload cannot hold, or an out-of-range outcome.
+[[nodiscard]] std::vector<std::byte> encode_message(const Message& message);
+[[nodiscard]] Message decode_message(std::span<const std::byte> payload);
+/// Benchmark-driver shim (see WireFormat): `format` is ignored.
+[[nodiscard]] inline std::vector<std::byte> encode_message(
+    const Message& message, WireFormat /*format*/) {
+  return encode_message(message);
+}
+[[nodiscard]] inline Message decode_message(
+    std::span<const std::byte> payload, WireFormat /*format*/) {
+  return decode_message(payload);
+}
 
-void write_message(int fd, WireFormat format, const Message& message);
+void write_message(int fd, const Message& message);
 /// nullopt on clean EOF at a frame boundary.
-[[nodiscard]] std::optional<Message> read_message(int fd, WireFormat format);
+[[nodiscard]] std::optional<Message> read_message(int fd);
 
-// ---- JSON codecs (wire fallback + study service) ---------------------------
+// ---- JSON deployment codec (study service request API) ---------------------
 
-/// Full-fidelity deployment config for the wire — unlike the campaign
-/// file schema this carries every execution-relevant field (hang budget,
-/// deadlock timeout, adaptive engine parameters), so a worker rebuilds
-/// the exact TrialSpace the coordinator planned against.
+/// Full-fidelity deployment config — unlike the campaign file schema this
+/// carries every execution-relevant field (hang budget, adaptive engine
+/// parameters), so a served campaign runs exactly the requested
+/// TrialSpace.
 util::Json deployment_to_json(const harness::DeploymentConfig& config);
 harness::DeploymentConfig deployment_from_json(const util::Json& json);
-
-util::Json refs_to_json(const std::vector<harness::TrialRef>& refs);
-std::vector<harness::TrialRef> refs_from_json(const util::Json& json);
-
-util::Json results_to_json(const std::vector<harness::TrialResult>& results);
-std::vector<harness::TrialResult> results_from_json(const util::Json& json);
 
 }  // namespace resilience::shard

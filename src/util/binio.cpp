@@ -6,9 +6,7 @@
 #include <unistd.h>
 
 #include <array>
-#include <bit>
 #include <cstring>
-#include <limits>
 
 namespace resilience::util {
 
@@ -74,11 +72,6 @@ std::uint32_t crc32(std::span<const std::byte> bytes,
   return c ^ 0xFFFFFFFFu;
 }
 
-bool binio_host_supported() noexcept {
-  return std::endian::native == std::endian::little && sizeof(double) == 8 &&
-         std::numeric_limits<double>::is_iec559;
-}
-
 void BinWriter::u32(std::uint32_t v) {
   buf_.push_back(static_cast<std::byte>(v & 0xffu));
   buf_.push_back(static_cast<std::byte>((v >> 8) & 0xffu));
@@ -109,9 +102,9 @@ void BinWriter::bytes(std::span<const std::byte> b) {
 }
 
 void BinWriter::u64_array(std::span<const std::uint64_t> a) {
-  // Raw memcpy is the point of the binary format, and it is only taken on
-  // binio_host_supported() hosts, where the in-memory layout already is
-  // the wire layout.
+  // Raw memcpy is the point of the binary format: binio.hpp's
+  // static_assert guarantees the in-memory layout already is the wire
+  // layout.
   const auto* p = reinterpret_cast<const std::byte*>(a.data());
   buf_.insert(buf_.end(), p, p + a.size_bytes());
 }
@@ -190,6 +183,14 @@ void BinReader::u64_array(std::span<std::uint64_t> out) {
 void BinReader::f64_array(std::span<double> out) {
   const auto b = bytes(out.size_bytes());
   std::memcpy(out.data(), b.data(), b.size());
+}
+
+std::size_t BinReader::count(std::size_t elem_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / elem_bytes) {
+    throw BinError("binio: element count exceeds the remaining input");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 void BinReader::seek(std::size_t offset) {

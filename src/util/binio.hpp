@@ -5,13 +5,16 @@
 // Scope is deliberately small: bounds-checked scalar and raw-array
 // encode/decode, an IEEE CRC32 for section checksums, and a read-only
 // mmap wrapper whose spans back the zero-copy checkpoint restore path.
-// Everything is little-endian on the wire; binio_host_supported() gates
-// the binary paths off (JSON fallback) on exotic hosts so a byte-order
+// Everything is little-endian on the wire, and the raw-array paths
+// memcpy in-memory doubles and u64s as they are: the static_assert below
+// refuses to build on a host whose layout differs, so a byte-order
 // assumption can never silently corrupt data.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -20,6 +23,11 @@
 #include <vector>
 
 namespace resilience::util {
+
+static_assert(std::endian::native == std::endian::little &&
+                  std::numeric_limits<double>::is_iec559,
+              "binio writes in-memory u64s and doubles as little-endian "
+              "IEEE 754 bytes");
 
 /// Malformed or truncated binary input. Callers treat it like JsonError:
 /// a store file raising it is corrupt (unlink + refill), a wire frame
@@ -34,11 +42,6 @@ class BinError : public std::runtime_error {
 /// split b = b1 + b2.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes,
                                   std::uint32_t seed = 0) noexcept;
-
-/// True when this host can use the binary encodings directly: little-
-/// endian integers and 8-byte IEEE doubles. On other hosts the golden
-/// store and shard wire fall back to their JSON formats.
-[[nodiscard]] bool binio_host_supported() noexcept;
 
 /// Append-only little-endian encoder over a growable byte buffer.
 class BinWriter {
@@ -89,6 +92,10 @@ class BinReader {
   [[nodiscard]] std::span<const std::byte> bytes(std::size_t n);
   void u64_array(std::span<std::uint64_t> out);
   void f64_array(std::span<double> out);
+  /// Read a u64 element count and check that the rest of the input can
+  /// hold that many elements of at least `elem_bytes` each, so a hostile
+  /// count throws BinError instead of sizing an allocation.
+  [[nodiscard]] std::size_t count(std::size_t elem_bytes);
 
   [[nodiscard]] std::size_t offset() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -91,7 +91,6 @@ RuntimeOptions RuntimeOptions::from_env() {
       env_int("RESILIENCE_FIBER_STACK_KB",
               static_cast<std::int64_t>(options.fiber_stack_kb),
               /*min_value=*/16));
-  options.fast_real = env_flag("RESILIENCE_FAST_REAL", options.fast_real);
   options.checkpoint = env_flag("RESILIENCE_CHECKPOINT", options.checkpoint);
   options.checkpoint_budget = static_cast<std::size_t>(env_int(
       "RESILIENCE_CHECKPOINT_BUDGET",
@@ -115,37 +114,10 @@ RuntimeOptions RuntimeOptions::from_env() {
   options.golden_store = env_str("RESILIENCE_GOLDEN_STORE", "");
   options.shard_kill_unit = static_cast<int>(
       env_int("RESILIENCE_SHARD_KILL", -1, /*min_value=*/-1));
-  {
-    const std::string wire = env_str("RESILIENCE_WIRE", "");
-    if (wire == "binary") {
-      options.wire_binary = true;
-    } else if (wire == "json") {
-      options.wire_binary = false;
-    } else if (!wire.empty()) {
-      std::fprintf(stderr,
-                   "warning: RESILIENCE_WIRE: ignoring invalid value \"%s\" "
-                   "(expected \"binary\" or \"json\"), using default %s\n",
-                   wire.c_str(), options.wire_binary ? "binary" : "json");
-    }
-  }
   options.frame_cap_mb = static_cast<std::size_t>(
       env_int("RESILIENCE_FRAME_CAP_MB",
               static_cast<std::int64_t>(options.frame_cap_mb),
               /*min_value=*/1));
-  {
-    const std::string fmt = env_str("RESILIENCE_STORE_FORMAT", "");
-    if (fmt == "binary") {
-      options.store_binary = true;
-    } else if (fmt == "json") {
-      options.store_binary = false;
-    } else if (!fmt.empty()) {
-      std::fprintf(stderr,
-                   "warning: RESILIENCE_STORE_FORMAT: ignoring invalid value "
-                   "\"%s\" (expected \"binary\" or \"json\"), using default "
-                   "%s\n",
-                   fmt.c_str(), options.store_binary ? "binary" : "json");
-    }
-  }
   options.scenario = env_str("RESILIENCE_SCENARIO", "");
   options.mtbf_factor =
       env_double("RESILIENCE_MTBF", options.mtbf_factor, /*min_value=*/0.0);

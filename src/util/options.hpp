@@ -2,11 +2,12 @@
 // place.
 //
 // The substrate layers used to read their own env vars at first use
-// (comm.cpp, fault_context.cpp, checkpoint.cpp, executor.cpp), which made the configuration surface hard to document
-// and impossible to inject under test. RuntimeOptions::from_env() is now
-// the only code path that touches the process environment (the repo-wide
-// invariant is: no getenv/env_int call sites outside util/options.cpp),
-// and global() is the resolved-once copy every layer consumes.
+// (comm.cpp, checkpoint.cpp, executor.cpp), which made the configuration
+// surface hard to document and impossible to inject under test.
+// RuntimeOptions::from_env() is now the only code path that touches the
+// process environment (the repo-wide invariant is: no getenv/env_int call
+// sites outside util/options.cpp), and global() is the resolved-once copy
+// every layer consumes.
 //
 // Tests inject a configuration with set_global() and restore the
 // environment-derived one with reset_global(); the per-feature
@@ -30,9 +31,6 @@ struct RuntimeOptions {
   /// RESILIENCE_FIBER_STACK_KB — per-rank fiber stack size in KiB
   /// (rounded up to whole pages, plus a guard page).
   std::size_t fiber_stack_kb = 256;
-  /// RESILIENCE_FAST_REAL — countdown dispatcher for instrumented Real
-  /// arithmetic.
-  bool fast_real = true;
   /// RESILIENCE_CHECKPOINT — trial use of golden checkpoints
   /// (fast-forward + early-exit pruning). Golden runs always capture;
   /// this gates consumption only.
@@ -71,20 +69,11 @@ struct RuntimeOptions {
   /// first incarnation SIGKILLs itself after completing this many units.
   /// -1 = off.
   int shard_kill_unit = -1;
-  /// RESILIENCE_WIRE — shard frame encoding: "binary" (default) for the
-  /// compact binio frames, "json" for the length-prefixed JSON fallback.
-  /// Coordinator and workers must agree; the protocol handshake rejects
-  /// mismatched peers.
-  bool wire_binary = true;
   /// RESILIENCE_FRAME_CAP_MB — largest shard frame either side will
   /// write or accept, in MiB. A backstop against corrupted length
   /// prefixes; raise it for apps whose metrics/result payloads
   /// legitimately exceed the default.
   std::size_t frame_cap_mb = 256;
-  /// RESILIENCE_STORE_FORMAT — golden-store write format: "binary"
-  /// (default) writes golden-v2 files (mmap zero-copy loads), "json"
-  /// writes the v1 JSON files. Loads accept both regardless.
-  bool store_binary = true;
   /// RESILIENCE_SCENARIO — default fault-scenario catalog entry for the
   /// CLI and benches ("" = "paper", the pre-catalog behaviour). See
   /// `resilience scenarios` for the catalog.
@@ -109,9 +98,9 @@ struct RuntimeOptions {
   static const RuntimeOptions& global();
 
   /// Replace the process-wide options (tests). Layers that latch their
-  /// knob in a function-local static (simmpi, fault_context)
-  /// only see values injected before their first use; the documented
-  /// test hook for those is their set_*_enabled() override.
+  /// knob in a function-local static (simmpi, checkpoint) only see values
+  /// injected before their first use; the documented test hook for those
+  /// is their set_*_enabled() override.
   static void set_global(const RuntimeOptions& options);
 
   /// Drop an injected global; the next global() re-reads the environment.

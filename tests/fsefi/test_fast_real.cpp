@@ -1,8 +1,8 @@
 // Differential tests of the countdown fast path against the pre-countdown
-// reference implementation (RESILIENCE_FAST_REAL=0). The two paths must
-// agree bit for bit on every observable: op-count profiles, filtered-
-// stream indices, injection traces, contamination, and the exact op at
-// which the hang budget throws. Integration-level coverage (whole apps,
+// reference implementation (set_fast_real_enabled(false)). The two paths
+// must agree bit for bit on every observable: op-count profiles,
+// filtered-stream indices, injection traces, contamination, and the exact
+// op at which the hang budget throws. Integration-level coverage (whole apps,
 // campaigns) lives in tests/integration/test_fast_real_diff.cpp.
 #include <gtest/gtest.h>
 
@@ -181,7 +181,7 @@ TEST(FastRealDiff, ReferenceModeDisablesBlocking) {
   FaultContext ctx;
   ctx.reset();
   // quiet_ops == 0 forces kernels through per-op instrumentation, which is
-  // what makes RESILIENCE_FAST_REAL=0 a faithful reference configuration.
+  // what makes the reference path a faithful reference configuration.
   EXPECT_EQ(ctx.quiet_ops(1000), 0u);
 
   set_fast_real_enabled(true);

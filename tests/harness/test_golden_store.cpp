@@ -1,18 +1,21 @@
-// Golden-run serialization + the on-disk GoldenStore: full-fidelity
-// round trips (profiles, signature, checkpoints with base64 rank state),
-// byte-stable re-serialization, and the store's miss/fill/hit and
-// corruption-recovery behavior.
+// The on-disk GoldenStore (golden-v2): full-fidelity round trips
+// (profiles, signature, checkpoints with raw rank state), byte-stable
+// re-serialization, and the store's miss/fill/hit and corruption-recovery
+// behavior, including hostile element counts.
 #include <unistd.h>
 
 #include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
+#include "fsefi/plan.hpp"
 #include "harness/campaign.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/golden_cache.hpp"
@@ -20,9 +23,8 @@
 #include "harness/runner.hpp"
 #include "harness/serialize.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/encoding.hpp"
+#include "util/binio.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -43,52 +45,6 @@ harness::GoldenRun profile_cg(int nranks) {
   return harness::profile_app(*app, nranks);
 }
 
-TEST(GoldenJson, RoundTripPreservesEverything) {
-  const harness::GoldenRun golden = profile_cg(2);
-  ASSERT_NE(golden.checkpoints, nullptr);  // CG has boundary hooks
-
-  const util::Json json = harness::golden_to_json(golden);
-  const harness::GoldenRun back =
-      harness::golden_from_json(util::Json::parse(json.dump()));
-
-  EXPECT_EQ(back.signature, golden.signature);  // bit-exact doubles
-  EXPECT_EQ(back.max_rank_ops, golden.max_rank_ops);
-  ASSERT_EQ(back.profiles.size(), golden.profiles.size());
-  for (std::size_t r = 0; r < golden.profiles.size(); ++r) {
-    EXPECT_EQ(back.profiles[r], golden.profiles[r]) << r;
-  }
-
-  ASSERT_NE(back.checkpoints, nullptr);
-  const auto& a = *golden.checkpoints;
-  const auto& b = *back.checkpoints;
-  EXPECT_EQ(b.nranks, a.nranks);
-  EXPECT_EQ(b.iterations, a.iterations);
-  EXPECT_EQ(b.signature, a.signature);
-  ASSERT_EQ(b.boundaries.size(), a.boundaries.size());
-  for (std::size_t i = 0; i < a.boundaries.size(); ++i) {
-    EXPECT_EQ(b.boundaries[i].iter, a.boundaries[i].iter);
-    EXPECT_EQ(b.boundaries[i].profiles, a.boundaries[i].profiles);
-    EXPECT_EQ(b.boundaries[i].digests, a.boundaries[i].digests);
-    ASSERT_EQ(b.boundaries[i].state.size(), a.boundaries[i].state.size());
-    for (std::size_t r = 0; r < a.boundaries[i].state.size(); ++r) {
-      EXPECT_EQ(b.boundaries[i].state[r], a.boundaries[i].state[r]);
-    }
-  }
-}
-
-// serialize -> parse -> serialize must be byte-stable: the shard workers'
-// store loads and the coordinator's fill must agree on one canonical
-// form, and repeated store rewrites must not churn the file.
-TEST(GoldenJson, ReserializationIsByteStable) {
-  const harness::GoldenRun golden = profile_cg(2);
-  const std::string once = harness::golden_to_json(golden).dump();
-  const std::string twice =
-      harness::golden_to_json(
-          harness::golden_from_json(util::Json::parse(once)))
-          .dump();
-  EXPECT_EQ(once, twice);
-}
-
 TEST(CampaignJson, ReserializationIsByteStable) {
   const auto app = apps::make_app(apps::AppId::CG);
   harness::DeploymentConfig dep;
@@ -100,24 +56,6 @@ TEST(CampaignJson, ReserializationIsByteStable) {
       harness::to_json(harness::campaign_from_json(util::Json::parse(once)))
           .dump();
   EXPECT_EQ(once, twice);
-}
-
-TEST(Base64, RandomBlobsRoundTrip) {
-  util::Xoshiro256 rng(20180813);
-  for (std::size_t len = 0; len < 70; ++len) {
-    std::vector<std::byte> blob(len);
-    for (auto& b : blob) b = static_cast<std::byte>(rng.next() & 0xff);
-    const std::string text = util::base64_encode(blob);
-    EXPECT_EQ(text.size() % 4, 0u) << len;
-    EXPECT_EQ(util::base64_decode(text), blob) << len;
-  }
-}
-
-TEST(Base64, RejectsMalformedInput) {
-  EXPECT_THROW((void)util::base64_decode("abc"), std::invalid_argument);
-  EXPECT_THROW((void)util::base64_decode("ab=c"), std::invalid_argument);
-  EXPECT_THROW((void)util::base64_decode("a#bc"), std::invalid_argument);
-  EXPECT_EQ(util::base64_decode("").size(), 0u);
 }
 
 TEST(GoldenStore, MissFillHit) {
@@ -160,9 +98,9 @@ TEST(GoldenStore, CorruptFileIsUnlinkedAndRefilled) {
   const std::string path = store.path_for(*app, 2);
   ASSERT_TRUE(std::filesystem::exists(path));
 
-  {  // not JSON at all
+  {  // not a golden-v2 file at all
     std::ofstream out(path, std::ios::trunc);
-    out << "not json {{{";
+    out << "not golden {{{";
   }
   EXPECT_EQ(store.load(*app, 2), nullptr);
   EXPECT_FALSE(std::filesystem::exists(path)) << "corrupt file not unlinked";
@@ -174,7 +112,7 @@ TEST(GoldenStore, CorruptFileIsUnlinkedAndRefilled) {
   EXPECT_EQ(profiles, 2);  // clean refill after the corruption
   ASSERT_TRUE(std::filesystem::exists(path));
 
-  {  // valid JSON, truncated mid-document
+  {  // a valid file, truncated mid-section
     std::ifstream in(path);
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
@@ -269,40 +207,12 @@ void expect_same_golden(const harness::GoldenRun& a,
   }
 }
 
-// The binary and JSON stores must serve the exact same golden run — and
-// their loads must re-serialize to byte-identical JSON, the property the
-// wire/store cross-checks in CI build on.
-TEST(GoldenStoreBinary, BinaryAndJsonStoresServeIdenticalGolden) {
-  const harness::GoldenRun golden = profile_cg(2);
-  ASSERT_NE(golden.checkpoints, nullptr);
-  const auto app = apps::make_app(apps::AppId::CG);
-
-  const std::string bin_dir = fresh_dir("fmt-bin");
-  const std::string json_dir = fresh_dir("fmt-json");
-  harness::GoldenStore bin_store(bin_dir, harness::StoreFormat::BinaryV2);
-  harness::GoldenStore json_store(json_dir, harness::StoreFormat::JsonV1);
-  bin_store.put(*app, 2, golden);
-  json_store.put(*app, 2, golden);
-
-  const auto from_bin = bin_store.load(*app, 2);
-  const auto from_json = json_store.load(*app, 2);
-  ASSERT_NE(from_bin, nullptr);
-  ASSERT_NE(from_json, nullptr);
-  expect_same_golden(golden, *from_bin);
-  expect_same_golden(golden, *from_json);
-  EXPECT_EQ(harness::golden_to_json(*from_bin).dump(),
-            harness::golden_to_json(*from_json).dump());
-
-  std::filesystem::remove_all(bin_dir);
-  std::filesystem::remove_all(json_dir);
-}
-
 TEST(GoldenStoreBinary, RoundTripsGoldenWithoutCheckpoints) {
   harness::GoldenRun golden = profile_cg(2);
   golden.checkpoints = nullptr;  // apps without boundary hooks
   const auto app = apps::make_app(apps::AppId::CG);
   const std::string dir = fresh_dir("no-ckpt");
-  harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+  harness::GoldenStore store(dir);
   store.put(*app, 2, golden);
   const auto back = store.load(*app, 2);
   ASSERT_NE(back, nullptr);
@@ -316,7 +226,7 @@ TEST(GoldenStoreBinary, RoundTripsGoldenWithoutCheckpoints) {
 TEST(GoldenStoreBinary, LoadedStateIsBorrowedFromTheMapping) {
   const auto app = apps::make_app(apps::AppId::CG);
   const std::string dir = fresh_dir("borrow");
-  harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+  harness::GoldenStore store(dir);
   store.put(*app, 2, profile_cg(2));
   const auto back = store.load(*app, 2);
   ASSERT_NE(back, nullptr);
@@ -342,7 +252,7 @@ TEST(GoldenStoreBinary, LoadedGoldenSurvivesStoreAndFileRemoval) {
   const std::string dir = fresh_dir("pin");
   std::shared_ptr<const harness::GoldenRun> back;
   {
-    harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+    harness::GoldenStore store(dir);
     store.put(*app, 2, golden);
     back = store.load(*app, 2);
     ASSERT_NE(back, nullptr);
@@ -358,7 +268,7 @@ TEST(GoldenStoreBinary, BitFlippedFileIsUnlinkedAndRefilled) {
   int profiles = 0;
   {
     telemetry::ScopeGuard guard(&metrics);
-    harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+    harness::GoldenStore store(dir);
     (void)store.load_or_fill(*app, 2, [&] {
       ++profiles;
       return profile_cg(2);
@@ -395,7 +305,7 @@ TEST(GoldenStoreBinary, BitFlippedFileIsUnlinkedAndRefilled) {
 TEST(GoldenStoreBinary, TruncatedFileIsUnlinkedAndRefilled) {
   const auto app = apps::make_app(apps::AppId::CG);
   const std::string dir = fresh_dir("trunc-bin");
-  harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+  harness::GoldenStore store(dir);
   store.put(*app, 2, profile_cg(2));
   const std::string path = store.path_for(*app, 2);
 
@@ -412,81 +322,129 @@ TEST(GoldenStoreBinary, TruncatedFileIsUnlinkedAndRefilled) {
   std::filesystem::remove_all(dir);
 }
 
-// A store directory carrying a pre-upgrade v1 JSON file: the binary-format
-// store reads it once, rewrites the key as v2, and removes the v1 file.
-TEST(GoldenStoreBinary, V1FileIsReadOnceAndRewrittenAsV2) {
+// serialize -> load -> serialize must be byte-stable: the coordinator's
+// fill and every later rewrite of a key agree on one canonical file.
+TEST(GoldenStoreBinary, ReserializationIsByteStable) {
   const auto app = apps::make_app(apps::AppId::CG);
-  const harness::GoldenRun golden = profile_cg(2);
-  const std::string dir = fresh_dir("upgrade");
-  {
-    harness::GoldenStore v1_store(dir, harness::StoreFormat::JsonV1);
-    v1_store.put(*app, 2, golden);
-  }
-  harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
-  const std::string v1_path =
-      store.path_for(*app, 2, harness::StoreFormat::JsonV1);
-  const std::string v2_path =
-      store.path_for(*app, 2, harness::StoreFormat::BinaryV2);
-  ASSERT_TRUE(std::filesystem::exists(v1_path));
-  ASSERT_FALSE(std::filesystem::exists(v2_path));
-
-  const auto first = store.load(*app, 2);  // v1 hit + upgrade
-  ASSERT_NE(first, nullptr);
-  expect_same_golden(golden, *first);
-  EXPECT_TRUE(std::filesystem::exists(v2_path)) << "v1 hit not rewritten";
-  EXPECT_FALSE(std::filesystem::exists(v1_path)) << "stale v1 left behind";
-
-  const auto second = store.load(*app, 2);  // now served from v2
-  ASSERT_NE(second, nullptr);
-  expect_same_golden(golden, *second);
-  std::filesystem::remove_all(dir);
-}
-
-// And the reverse knob: a JSON-format store keeps serving an existing v2
-// file (reads try v2 first regardless of the write format).
-TEST(GoldenStoreBinary, JsonWriteFormatStillReadsV2Files) {
-  const auto app = apps::make_app(apps::AppId::CG);
-  const harness::GoldenRun golden = profile_cg(2);
-  const std::string dir = fresh_dir("mixed");
-  {
-    harness::GoldenStore v2_store(dir, harness::StoreFormat::BinaryV2);
-    v2_store.put(*app, 2, golden);
-  }
-  harness::GoldenStore store(dir, harness::StoreFormat::JsonV1);
+  const std::string dir = fresh_dir("restable");
+  harness::GoldenStore store(dir);
+  const auto read_file = [&] {
+    std::ifstream in(store.path_for(*app, 2), std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  store.put(*app, 2, profile_cg(2));
+  const std::string once = read_file();
   const auto back = store.load(*app, 2);
   ASSERT_NE(back, nullptr);
-  expect_same_golden(golden, *back);
+  store.put(*app, 2, *back);
+  EXPECT_EQ(read_file(), once);
   std::filesystem::remove_all(dir);
 }
 
-// Store format must not leak into campaign results: both formats drive a
-// campaign to the byte-identical saved JSON of an in-memory golden run.
-TEST(GoldenStoreBinary, CampaignResultsAreByteIdenticalAcrossFormats) {
+// A `-v1.json` file left by an older binary is never read: the key
+// misses and refills as golden-v2 beside it.
+TEST(GoldenStoreBinary, LeftoverV1FileIsNeverRead) {
   const auto app = apps::make_app(apps::AppId::CG);
-  harness::DeploymentConfig dep;
-  dep.nranks = 2;
-  dep.trials = 16;
+  const std::string dir = fresh_dir("leftover-v1");
+  harness::GoldenStore store(dir);
+  const std::string v2_path = store.path_for(*app, 2);
+  const std::string v1_path =
+      v2_path.substr(0, v2_path.size() - std::string("-v2.bin").size()) +
+      "-v1.json";
+  {
+    std::ofstream out(v1_path);
+    out << R"({"schema": "resilience-golden-store/1"})";
+  }
+  EXPECT_EQ(store.load(*app, 2), nullptr);
+  int profiles = 0;
+  const auto golden = store.load_or_fill(*app, 2, [&] {
+    ++profiles;
+    return profile_cg(2);
+  });
+  ASSERT_NE(golden, nullptr);
+  EXPECT_EQ(profiles, 1);
+  EXPECT_TRUE(std::filesystem::exists(v2_path));
+  EXPECT_TRUE(std::filesystem::exists(v1_path)) << "v1 file was touched";
+  std::filesystem::remove_all(dir);
+}
 
-  auto baseline = harness::CampaignRunner::run(*app, dep);
+// A boundary count the checkpoint section cannot hold — with the section
+// CRC recomputed, so only the count check stands between it and a huge
+// reserve — is a corrupt file: unlinked and refilled, never allocated.
+TEST(GoldenStoreBinary, InflatedBoundaryCountIsUnlinkedAndRefilled) {
+  const auto app = apps::make_app(apps::AppId::CG);
+  const std::string dir = fresh_dir("inflated");
+  harness::GoldenStore store(dir);
+  store.put(*app, 2, profile_cg(2));
+  const std::string path = store.path_for(*app, 2);
 
-  auto run_with = [&](harness::StoreFormat format, const std::string& tag) {
-    const std::string dir = fresh_dir(tag);
-    harness::GoldenStore store(dir, format);
-    store.put(*app, 2, profile_cg(2));  // campaigns load, never profile
-    harness::GoldenCache cache(&store);
-    harness::CampaignContext context;
-    context.golden_cache = &cache;
-    auto result = harness::CampaignRunner::run(*app, dep, context);
-    std::filesystem::remove_all(dir);
-    return result;
+  std::ifstream in(path, std::ios::binary);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  std::vector<std::byte> file(text.size());
+  std::memcpy(file.data(), text.data(), text.size());
+
+  // Section table (after the 36-byte header): {u32 id, u32 crc,
+  // u64 offset, u64 size} per section; the checkpoint section has id 3.
+  constexpr std::size_t kHeader = 36;
+  constexpr std::size_t kEntry = 24;
+  constexpr std::size_t kProfileBytes =
+      std::size_t{fsefi::kNumRegions} * fsefi::kNumOpKinds * 8;
+  util::BinReader header(file);
+  header.seek(12);
+  const std::uint32_t nsections = header.u32();
+  std::size_t entry = 0;
+  for (std::uint32_t i = 0; i < nsections; ++i) {
+    header.seek(kHeader + i * kEntry);
+    if (header.u32() == 3) entry = kHeader + i * kEntry;
+  }
+  ASSERT_NE(entry, 0u) << "CG golden has no checkpoint section";
+  header.seek(entry + 8);
+  const std::size_t offset = header.u64();
+  const std::size_t size = header.u64();
+
+  // Walk the checkpoint section up to its boundary count.
+  util::BinReader cp(std::span<const std::byte>(file).subspan(offset, size));
+  const auto skip_array = [&](std::size_t elem_bytes) {
+    const std::size_t n = cp.u64();
+    cp.seek(cp.offset() + n * elem_bytes);
   };
-  auto from_bin = run_with(harness::StoreFormat::BinaryV2, "cmp-bin");
-  auto from_json = run_with(harness::StoreFormat::JsonV1, "cmp-json");
+  (void)cp.i32();  // nranks
+  (void)cp.i32();  // iterations
+  skip_array(8);              // state_reals
+  skip_array(8);              // signature
+  skip_array(kProfileBytes);  // final_profiles
+  const std::size_t nbound_at = offset + cp.offset();
+  ASSERT_GT(cp.u64(), 0u);
 
-  baseline.wall_seconds = from_bin.wall_seconds = from_json.wall_seconds = 0.0;
-  const std::string want = harness::to_json(baseline).dump();
-  EXPECT_EQ(harness::to_json(from_bin).dump(), want);
-  EXPECT_EQ(harness::to_json(from_json).dump(), want);
+  util::BinWriter patched;
+  patched.bytes(file);
+  patched.patch_u64(nbound_at, std::uint64_t{1} << 40);
+  patched.patch_u32(entry + 4,
+                    util::crc32(patched.buffer().subspan(offset, size)));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(patched.buffer().data()),
+              static_cast<std::streamsize>(patched.size()));
+  }
+
+  telemetry::MetricScope metrics;
+  int profiles = 0;
+  {
+    telemetry::ScopeGuard guard(&metrics);
+    const auto golden = store.load_or_fill(*app, 2, [&] {
+      ++profiles;
+      return profile_cg(2);
+    });
+    ASSERT_NE(golden, nullptr);
+  }
+  EXPECT_EQ(profiles, 1);
+  EXPECT_EQ(metrics.snapshot().value(telemetry::Counter::GoldenStoreRefills),
+            1u);
+  EXPECT_NE(store.load(*app, 2), nullptr) << "refilled file does not load";
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Whole-application differential tests of the instrumented-arithmetic
 // fast path (DESIGN.md §8): every app, run with injections armed, must
-// produce bit-identical observables under RESILIENCE_FAST_REAL=0 (the
-// pre-countdown reference implementation) and the countdown + blocked-
+// produce bit-identical observables under set_fast_real_enabled(false)
+// (the pre-countdown reference implementation) and the countdown + blocked-
 // kernel fast path — op-count profiles, filtered-stream lengths,
 // injection traces, contamination, output signatures, and whole campaign
 // results. This is the acceptance gate that lets the fast path replace

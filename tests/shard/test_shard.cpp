@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "shard/service.hpp"
 #include "shard/worker.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/binio.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 
@@ -87,15 +89,16 @@ TEST(ShardProtocol, TruncatedFrameThrows) {
 }
 
 TEST(ShardProtocol, RefsKeepNoStratumAndConfigFullFidelity) {
-  const std::vector<harness::TrialRef> refs = {
-      {harness::kNoStratum, 3, 3}, {42, 7, 11}};
-  const auto back =
-      shard::refs_from_json(util::Json::parse(shard::refs_to_json(refs).dump()));
-  ASSERT_EQ(back.size(), refs.size());
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    EXPECT_EQ(back[i].stratum, refs[i].stratum);
-    EXPECT_EQ(back[i].index, refs[i].index);
-    EXPECT_EQ(back[i].tag, refs[i].tag);
+  shard::UnitMsg unit;
+  unit.refs = {{harness::kNoStratum, 3, 3}, {42, 7, 11}};
+  const auto decoded =
+      shard::decode_message(shard::encode_message(shard::Message(unit)));
+  const auto& back = std::get<shard::UnitMsg>(decoded).refs;
+  ASSERT_EQ(back.size(), unit.refs.size());
+  for (std::size_t i = 0; i < unit.refs.size(); ++i) {
+    EXPECT_EQ(back[i].stratum, unit.refs[i].stratum);
+    EXPECT_EQ(back[i].index, unit.refs[i].index);
+    EXPECT_EQ(back[i].tag, unit.refs[i].tag);
   }
 
   harness::DeploymentConfig dep = small_config(17);
@@ -112,9 +115,6 @@ TEST(ShardProtocol, RefsKeepNoStratumAndConfigFullFidelity) {
 
 // ---- binary wire protocol ---------------------------------------------
 
-const shard::WireFormat kBothFormats[] = {shard::WireFormat::Json,
-                                          shard::WireFormat::Binary};
-
 telemetry::MetricsSnapshot sample_metrics() {
   telemetry::MetricsSnapshot m;
   m.counters[0] = 7;
@@ -125,10 +125,14 @@ telemetry::MetricsSnapshot sample_metrics() {
   return m;
 }
 
-// Every message kind, both encodings: decode(encode(m)) == m, field by
-// field — including the adaptive engine parameters and kNoStratum refs
-// that only full-fidelity codecs preserve.
-TEST(ShardWire, EveryMessageKindRoundTripsInBothFormats) {
+shard::Message round_trip(const shard::Message& message) {
+  return shard::decode_message(shard::encode_message(message));
+}
+
+// Every message kind: decode(encode(m)) == m, field by field — including
+// the adaptive engine parameters and kNoStratum refs that only a
+// full-fidelity codec preserves.
+TEST(ShardWire, EveryMessageKindRoundTrips) {
   shard::InitMsg init;
   init.app = "CG";
   init.size_class = "small";
@@ -150,113 +154,104 @@ TEST(ShardWire, EveryMessageKindRoundTripsInBothFormats) {
   result.id = 12;
   result.outcomes = {{harness::Outcome::Success, 0},
                      {harness::Outcome::SDC, 5},
-                     {harness::Outcome::Failure, 2}};
+                     {harness::Outcome::Failure, 2},
+                     {harness::Outcome::Crash, 1}};
   result.wall_seconds = 1.25;
   result.metrics = sample_metrics();
 
-  for (const auto format : kBothFormats) {
-    SCOPED_TRACE(shard::wire_format_name(format));
+  const auto init_back = round_trip(init);
+  const auto* i = std::get_if<shard::InitMsg>(&init_back);
+  ASSERT_NE(i, nullptr);
+  EXPECT_EQ(i->app, init.app);
+  EXPECT_EQ(i->size_class, init.size_class);
+  EXPECT_EQ(i->store, init.store);
+  EXPECT_EQ(i->kill_after_units, init.kill_after_units);
+  EXPECT_EQ(shard::deployment_to_json(i->config).dump(),
+            shard::deployment_to_json(init.config).dump());
 
-    const auto init_back = shard::decode_message(
-        shard::encode_message(shard::Message(init), format), format);
-    const auto* i = std::get_if<shard::InitMsg>(&init_back);
-    ASSERT_NE(i, nullptr);
-    EXPECT_EQ(i->app, init.app);
-    EXPECT_EQ(i->size_class, init.size_class);
-    EXPECT_EQ(i->store, init.store);
-    EXPECT_EQ(i->kill_after_units, init.kill_after_units);
-    EXPECT_EQ(shard::deployment_to_json(i->config).dump(),
-              shard::deployment_to_json(init.config).dump());
+  const auto ready_back = round_trip(shard::ReadyMsg{sample_metrics()});
+  const auto* rd = std::get_if<shard::ReadyMsg>(&ready_back);
+  ASSERT_NE(rd, nullptr);
+  EXPECT_TRUE(rd->metrics.counters == sample_metrics().counters);
+  EXPECT_TRUE(rd->metrics.histograms == sample_metrics().histograms);
 
-    const auto ready_back = shard::decode_message(
-        shard::encode_message(shard::Message(shard::ReadyMsg{sample_metrics()}),
-                              format),
-        format);
-    const auto* rd = std::get_if<shard::ReadyMsg>(&ready_back);
-    ASSERT_NE(rd, nullptr);
-    EXPECT_TRUE(rd->metrics.counters == sample_metrics().counters);
-    EXPECT_TRUE(rd->metrics.histograms == sample_metrics().histograms);
-
-    const auto unit_back = shard::decode_message(
-        shard::encode_message(shard::Message(unit), format), format);
-    const auto* u = std::get_if<shard::UnitMsg>(&unit_back);
-    ASSERT_NE(u, nullptr);
-    EXPECT_EQ(u->id, unit.id);
-    ASSERT_EQ(u->refs.size(), unit.refs.size());
-    for (std::size_t r = 0; r < unit.refs.size(); ++r) {
-      EXPECT_EQ(u->refs[r].stratum, unit.refs[r].stratum);
-      EXPECT_EQ(u->refs[r].index, unit.refs[r].index);
-      EXPECT_EQ(u->refs[r].tag, unit.refs[r].tag);
-    }
-
-    const auto result_back = shard::decode_message(
-        shard::encode_message(shard::Message(result), format), format);
-    const auto* res = std::get_if<shard::ResultMsg>(&result_back);
-    ASSERT_NE(res, nullptr);
-    EXPECT_EQ(res->id, result.id);
-    EXPECT_EQ(res->wall_seconds, result.wall_seconds);
-    ASSERT_EQ(res->outcomes.size(), result.outcomes.size());
-    for (std::size_t r = 0; r < result.outcomes.size(); ++r) {
-      EXPECT_EQ(res->outcomes[r].outcome, result.outcomes[r].outcome);
-      EXPECT_EQ(res->outcomes[r].contaminated, result.outcomes[r].contaminated);
-    }
-    EXPECT_TRUE(res->metrics.counters == result.metrics.counters);
-    EXPECT_TRUE(res->metrics.histograms == result.metrics.histograms);
-
-    const auto err_back = shard::decode_message(
-        shard::encode_message(shard::Message(shard::ErrorMsg{"boom"}), format),
-        format);
-    const auto* err = std::get_if<shard::ErrorMsg>(&err_back);
-    ASSERT_NE(err, nullptr);
-    EXPECT_EQ(err->message, "boom");
-
-    const auto down_back = shard::decode_message(
-        shard::encode_message(shard::Message(shard::ShutdownMsg{}), format),
-        format);
-    EXPECT_TRUE(std::holds_alternative<shard::ShutdownMsg>(down_back));
+  const auto unit_back = round_trip(unit);
+  const auto* u = std::get_if<shard::UnitMsg>(&unit_back);
+  ASSERT_NE(u, nullptr);
+  EXPECT_EQ(u->id, unit.id);
+  ASSERT_EQ(u->refs.size(), unit.refs.size());
+  for (std::size_t r = 0; r < unit.refs.size(); ++r) {
+    EXPECT_EQ(u->refs[r].stratum, unit.refs[r].stratum);
+    EXPECT_EQ(u->refs[r].index, unit.refs[r].index);
+    EXPECT_EQ(u->refs[r].tag, unit.refs[r].tag);
   }
+
+  const auto result_back = round_trip(result);
+  const auto* res = std::get_if<shard::ResultMsg>(&result_back);
+  ASSERT_NE(res, nullptr);
+  EXPECT_EQ(res->id, result.id);
+  EXPECT_EQ(res->wall_seconds, result.wall_seconds);
+  ASSERT_EQ(res->outcomes.size(), result.outcomes.size());
+  for (std::size_t r = 0; r < result.outcomes.size(); ++r) {
+    EXPECT_EQ(res->outcomes[r].outcome, result.outcomes[r].outcome);
+    EXPECT_EQ(res->outcomes[r].contaminated, result.outcomes[r].contaminated);
+  }
+  EXPECT_TRUE(res->metrics.counters == result.metrics.counters);
+  EXPECT_TRUE(res->metrics.histograms == result.metrics.histograms);
+
+  const auto err_back = round_trip(shard::ErrorMsg{"boom"});
+  const auto* err = std::get_if<shard::ErrorMsg>(&err_back);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->message, "boom");
+
+  EXPECT_TRUE(std::holds_alternative<shard::ShutdownMsg>(
+      round_trip(shard::ShutdownMsg{})));
+}
+
+// A hostile element count must throw before anything is sized: a 17-byte
+// Unit (tag, id, count) or Result payload claiming 2^40 elements would
+// otherwise ask for tens of terabytes.
+TEST(ShardWire, DecoderRejectsCountsThePayloadCannotHold) {
+  for (const std::uint8_t tag : {std::uint8_t{3}, std::uint8_t{4}}) {
+    SCOPED_TRACE(static_cast<int>(tag));
+    util::BinWriter w;
+    w.u8(tag);  // Unit / Result
+    w.u64(12);
+    w.u64(std::uint64_t{1} << 40);
+    const auto payload = std::move(w).take();
+    ASSERT_EQ(payload.size(), 17u);
+    EXPECT_THROW((void)shard::decode_message(payload), util::BinError);
+  }
+}
+
+TEST(ShardWire, DecoderRejectsAnOutcomeOutsideTheEnum) {
+  shard::ResultMsg result;
+  result.outcomes = {{harness::Outcome::SDC, 1}};
+  auto payload = shard::encode_message(shard::Message(result));
+  payload[1 + 8 + 8] = std::byte{4};  // first outcome byte: one past Crash
+  EXPECT_THROW((void)shard::decode_message(payload), util::BinError);
 }
 
 TEST(ShardWire, HandshakeRoundTripsAndRejectsNonHandshakes) {
-  for (const auto format : kBothFormats) {
-    const auto payload = shard::encode_handshake(format);
-    const auto hs = shard::parse_handshake(payload);
-    ASSERT_TRUE(hs.has_value());
-    EXPECT_EQ(hs->version, shard::kShardProtocolVersion);
-    EXPECT_EQ(hs->format, format);
-  }
+  const auto hs = shard::parse_handshake(shard::encode_handshake());
+  ASSERT_TRUE(hs.has_value());
+  EXPECT_EQ(hs->version, shard::kShardProtocolVersion);
   // An error frame from a bailing worker is not a handshake — nullopt,
   // not a throw, so the caller can decode it for its message.
-  const auto error_payload = shard::encode_message(
-      shard::Message(shard::ErrorMsg{"bad"}), shard::WireFormat::Binary);
+  const auto error_payload =
+      shard::encode_message(shard::Message(shard::ErrorMsg{"bad"}));
   EXPECT_FALSE(shard::parse_handshake(error_payload).has_value());
   EXPECT_FALSE(shard::parse_handshake({}).has_value());
-}
-
-TEST(ShardWire, ReadHandshakeRejectsFormatMismatchOverSocketpair) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  shard::write_handshake(sv[0], shard::WireFormat::Json);
-  try {
-    (void)shard::read_handshake(sv[1], shard::WireFormat::Binary);
-    FAIL() << "format mismatch not rejected";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("json"), std::string::npos) << what;
-    EXPECT_NE(what.find("binary"), std::string::npos) << what;
-  }
-  ::close(sv[0]);
-  ::close(sv[1]);
 }
 
 TEST(ShardWire, ReadHandshakeRejectsVersionMismatchOverSocketpair) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto payload = shard::encode_handshake(shard::WireFormat::Binary);
+  auto payload = shard::encode_handshake();
   payload[4] = std::byte{99};  // version field, little-endian low byte
   shard::write_frame_bytes(sv[0], payload, "test handshake");
   try {
-    (void)shard::read_handshake(sv[1], shard::WireFormat::Binary);
+    (void)shard::read_handshake(sv[1]);
     FAIL() << "version mismatch not rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -265,6 +260,41 @@ TEST(ShardWire, ReadHandshakeRejectsVersionMismatchOverSocketpair) {
               std::string::npos)
         << what;
   }
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
+// A coordinator of protocol version 4 (magic, u32 version, and the
+// wire-format byte that version carried) gets the protocol-version error
+// from a worker, not a misparse: the worker answers with an error frame
+// and exits non-zero.
+TEST(ShardWorker, Version4HandshakeFailsWithTheProtocolVersionError) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::string prog = "worker";
+  std::string fd_arg = "--shard-worker=" + std::to_string(sv[1]);
+  char* argv[] = {prog.data(), fd_arg.data(), nullptr};
+  int rc = -1;
+  std::thread worker([&] { rc = shard::maybe_worker_main(2, argv); });
+
+  util::BinWriter v4;
+  for (const char c : {'R', 'S', 'W', 'H'}) v4.u8(static_cast<std::uint8_t>(c));
+  v4.u32(4);
+  v4.u8(1);  // v4's wire-format byte (binary)
+  shard::write_frame_bytes(sv[0], std::move(v4).take(), "v4 handshake");
+  const auto reply = shard::read_message(sv[0]);
+  worker.join();
+
+  EXPECT_EQ(rc, 1);
+  ASSERT_TRUE(reply.has_value());
+  const auto* err = std::get_if<shard::ErrorMsg>(&*reply);
+  ASSERT_NE(err, nullptr);
+  EXPECT_NE(err->message.find("protocol version 4"), std::string::npos)
+      << err->message;
+  EXPECT_NE(err->message.find(
+                "speaks " + std::to_string(shard::kShardProtocolVersion)),
+            std::string::npos)
+      << err->message;
   ::close(sv[0]);
   ::close(sv[1]);
 }
@@ -279,12 +309,11 @@ TEST(ShardWire, FrameCapErrorNamesFrameKindUnitAndByteCount) {
 
   shard::UnitMsg unit;
   unit.id = 77;
-  unit.refs.resize(100'000);  // >1 MiB of refs in either encoding
+  unit.refs.resize(100'000);  // >1 MiB of refs
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   try {
-    shard::write_message(sv[0], shard::WireFormat::Binary,
-                         shard::Message(unit));
+    shard::write_message(sv[0], shard::Message(unit));
     FAIL() << "oversize frame not rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -389,49 +418,6 @@ TEST(ShardCampaign, GoldenStoreServesSecondInvocation) {
             0u);
   EXPECT_GE(second.metrics.value(telemetry::Counter::GoldenStoreHits), 3u);
   std::filesystem::remove_all(opts.golden_store_dir);
-}
-
-// The wire format is execution policy: a JSON-wire campaign must produce
-// the byte-identical saved JSON of a binary-wire one. Workers inherit
-// RESILIENCE_WIRE through the environment, so the env and opts.wire move
-// together here.
-TEST(ShardCampaign, JsonWireMatchesBinaryWireByteForByte) {
-  const auto app = apps::make_app(apps::AppId::CG);
-  const harness::DeploymentConfig dep = small_config(24);
-
-  shard::ShardOptions opts;
-  opts.shards = 2;
-  opts.wire = shard::WireFormat::Binary;
-  const auto over_binary = shard::run_sharded_campaign(*app, dep, opts);
-
-  ASSERT_EQ(::setenv("RESILIENCE_WIRE", "json", 1), 0);
-  opts.wire = shard::WireFormat::Json;
-  const auto over_json = shard::run_sharded_campaign(*app, dep, opts);
-  ASSERT_EQ(::unsetenv("RESILIENCE_WIRE"), 0);
-
-  EXPECT_EQ(normalized_dump(over_json), normalized_dump(over_binary));
-  EXPECT_TRUE(over_json.metrics.logical_equal(over_binary.metrics));
-}
-
-// RESILIENCE_WIRE drift between coordinator and worker: the handshake
-// rejects the pairing with a clear error instead of misparsing frames.
-TEST(ShardCampaign, WireFormatDriftIsRejectedByTheHandshake) {
-  const auto app = apps::make_app(apps::AppId::CG);
-  const harness::DeploymentConfig dep = small_config(8);
-
-  shard::ShardOptions opts;
-  opts.shards = 1;
-  opts.max_worker_restarts = 0;
-  opts.wire = shard::WireFormat::Binary;  // workers will resolve json
-  ASSERT_EQ(::setenv("RESILIENCE_WIRE", "json", 1), 0);
-  try {
-    (void)shard::run_sharded_campaign(*app, dep, opts);
-    FAIL() << "wire drift not rejected";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("wire format mismatch"), std::string::npos) << what;
-  }
-  ASSERT_EQ(::unsetenv("RESILIENCE_WIRE"), 0);
 }
 
 TEST(StudyService, CachesDeterministicCampaigns) {

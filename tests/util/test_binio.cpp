@@ -117,6 +117,30 @@ TEST(BinReader, StrRejectsLengthBeyondBuffer) {
   EXPECT_THROW((void)r.str(), util::BinError);
 }
 
+// count() bounds a claimed element count by the bytes left: exactly
+// enough passes, one more element (or a 2^40 claim) throws before any
+// caller could size a vector from it.
+TEST(BinReader, CountRejectsMoreElementsThanTheInputHolds) {
+  util::BinWriter w;
+  w.u64(2);
+  w.u64(7);
+  w.u64(8);
+  util::BinReader fits(w.buffer());
+  EXPECT_EQ(fits.count(sizeof(std::uint64_t)), 2u);
+
+  util::BinWriter over;
+  over.u64(3);
+  over.u64(7);
+  over.u64(8);
+  util::BinReader r(over.buffer());
+  EXPECT_THROW((void)r.count(sizeof(std::uint64_t)), util::BinError);
+
+  util::BinWriter huge;
+  huge.u64(std::uint64_t{1} << 40);
+  util::BinReader h(huge.buffer());
+  EXPECT_THROW((void)h.count(1), util::BinError);
+}
+
 TEST(BinReader, BytesBorrowsFromTheUnderlyingBuffer) {
   util::BinWriter w;
   w.str("abcdef");

@@ -14,7 +14,6 @@ namespace {
 
 const char* const kAllVars[] = {
     "RESILIENCE_THREADS",        "RESILIENCE_FIBER_STACK_KB",
-    "RESILIENCE_FAST_REAL",
     "RESILIENCE_CHECKPOINT",     "RESILIENCE_CHECKPOINT_BUDGET",
     "RESILIENCE_TRACE",          "RESILIENCE_METRICS",
 };
@@ -37,7 +36,6 @@ TEST_F(RuntimeOptionsTest, DefaultsWhenNothingSet) {
   const RuntimeOptions opts = RuntimeOptions::from_env();
   EXPECT_EQ(opts.threads, 0);
   EXPECT_EQ(opts.fiber_stack_kb, 256u);
-  EXPECT_TRUE(opts.fast_real);
   EXPECT_TRUE(opts.checkpoint);
   EXPECT_EQ(opts.checkpoint_budget, 8u);
   EXPECT_TRUE(opts.trace_path.empty());
@@ -47,7 +45,6 @@ TEST_F(RuntimeOptionsTest, DefaultsWhenNothingSet) {
 TEST_F(RuntimeOptionsTest, ResolvesEveryVariable) {
   ::setenv("RESILIENCE_THREADS", "6", 1);
   ::setenv("RESILIENCE_FIBER_STACK_KB", "512", 1);
-  ::setenv("RESILIENCE_FAST_REAL", "0", 1);
   ::setenv("RESILIENCE_CHECKPOINT", "0", 1);
   ::setenv("RESILIENCE_CHECKPOINT_BUDGET", "3", 1);
   ::setenv("RESILIENCE_TRACE", "trace.jsonl", 1);
@@ -55,7 +52,6 @@ TEST_F(RuntimeOptionsTest, ResolvesEveryVariable) {
   const RuntimeOptions opts = RuntimeOptions::from_env();
   EXPECT_EQ(opts.threads, 6);
   EXPECT_EQ(opts.fiber_stack_kb, 512u);
-  EXPECT_FALSE(opts.fast_real);
   EXPECT_FALSE(opts.checkpoint);
   EXPECT_EQ(opts.checkpoint_budget, 3u);
   EXPECT_EQ(opts.trace_path, "trace.jsonl");
@@ -64,17 +60,17 @@ TEST_F(RuntimeOptionsTest, ResolvesEveryVariable) {
 
 TEST_F(RuntimeOptionsTest, WarnsAndFallsBackOnMalformedValues) {
   ::setenv("RESILIENCE_THREADS", "many", 1);
-  ::setenv("RESILIENCE_FAST_REAL", "yes", 1);
+  ::setenv("RESILIENCE_CHECKPOINT", "yes", 1);
   ::setenv("RESILIENCE_CHECKPOINT_BUDGET", "lots", 1);
   ::testing::internal::CaptureStderr();
   const RuntimeOptions opts = RuntimeOptions::from_env();
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(opts.threads, 0);
-  EXPECT_TRUE(opts.fast_real);
+  EXPECT_TRUE(opts.checkpoint);
   EXPECT_EQ(opts.checkpoint_budget, 8u);
   EXPECT_NE(err.find("warning"), std::string::npos);
   EXPECT_NE(err.find("RESILIENCE_THREADS"), std::string::npos);
-  EXPECT_NE(err.find("RESILIENCE_FAST_REAL"), std::string::npos);
+  EXPECT_NE(err.find("RESILIENCE_CHECKPOINT:"), std::string::npos);
   EXPECT_NE(err.find("RESILIENCE_CHECKPOINT_BUDGET"), std::string::npos);
 }
 

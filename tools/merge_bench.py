@@ -29,7 +29,8 @@ Output:
                                    element-wise Real arithmetic (bar:
                                    >= 3x unarmed); the _vs_reference
                                    variant compares against the
-                                   RESILIENCE_FAST_REAL=0 kill switch
+                                   reference per-op path
+                                   (set_fast_real_enabled(false))
                                  - blocked_dot_speedup.{unarmed,armed}:
                                    blocked local_dot vs the reference
                                    per-op path (bar: >= 5x)
@@ -63,17 +64,6 @@ Output:
                                    (hits + misses) of a sharded rerun
                                    against a persistent golden store —
                                    1.0 means nobody re-profiled
-                                 - serialization_speedup.{golden_save,
-                                   golden_load, frame_encode,
-                                   frame_decode}: JSON wall time / binary
-                                   wall time of the golden-store disk
-                                   round trip and the shard result-frame
-                                   codecs (bar: >= 3x on golden_load —
-                                   the mmap + CRC path vs JSON parse +
-                                   base64)
-                                 - golden_store_bytes.{json, binary}:
-                                   on-disk size of the same golden run in
-                                   each store format
 
 When any input dump carries a load_avg above its num_cpus the host was
 saturated while benching; the merge warns and stamps the output with
@@ -159,9 +149,10 @@ def derive_micro_metrics(micro):
 
     # Speedup over the seed per-op structure (out-of-line context lookup +
     # pre-countdown bookkeeping) — the improvement the fast-path PR
-    # delivers. The _vs_reference variant compares against the
-    # RESILIENCE_FAST_REAL=0 kill switch, which already benefits from the
-    # inlined context lookup and so isolates the countdown dispatcher.
+    # delivers. The _vs_reference variant compares against the reference
+    # per-op path (set_fast_real_enabled(false)), which already benefits
+    # from the inlined context lookup and so isolates the countdown
+    # dispatcher.
     scalar = {"unarmed": ratio("BM_RealAxpySeedPath",
                                "BM_RealAxpyUnderContext"),
               "armed": ratio("BM_RealAxpySeedPathArmed",
@@ -245,35 +236,6 @@ def derive_shard_metrics(intro):
     return metrics
 
 
-def derive_serialization_metrics(intro):
-    """Binary-vs-JSON ratios of the golden store and frame codec legs."""
-    serialization = intro.get("serialization", {})
-    store = serialization.get("golden_store", {})
-    frame = serialization.get("result_frame", {})
-    metrics = {}
-    speedup = {}
-
-    def ratio(legs, field):
-        json_leg = legs.get("json", {}).get(field)
-        bin_leg = legs.get("binary", {}).get(field)
-        return json_leg / bin_leg if json_leg and bin_leg else None
-
-    for key, legs, field in (("golden_save", store, "save_seconds"),
-                             ("golden_load", store, "load_seconds"),
-                             ("frame_encode", frame, "encode_seconds"),
-                             ("frame_decode", frame, "decode_seconds")):
-        value = ratio(legs, field)
-        if value is not None:
-            speedup[key] = value
-    if speedup:
-        metrics["serialization_speedup"] = speedup
-    sizes = {fmt: store[fmt]["file_bytes"] for fmt in ("json", "binary")
-             if store.get(fmt, {}).get("file_bytes")}
-    if sizes:
-        metrics["golden_store_bytes"] = sizes
-    return metrics
-
-
 def check_host_load(merged, name, dump, fallback_cpus=None):
     """Warn and stamp the merge when a dump was taken on a saturated host.
 
@@ -347,7 +309,6 @@ def main():
         adaptive_metrics, outside_ci = derive_adaptive_metrics(intro)
         merged["metrics"].update(adaptive_metrics)
         merged["metrics"].update(derive_shard_metrics(intro))
-        merged["metrics"].update(derive_serialization_metrics(intro))
         check_host_load(merged, "intro_overhead", intro,
                         fallback_cpus=merged.get("host", {}).get("num_cpus"))
 
@@ -394,17 +355,6 @@ def main():
     hit_rate = metrics.get("golden_store_hit_rate")
     if hit_rate is not None:
         print(f"  golden-store reuse hit rate: {hit_rate:.0%}")
-    for label, ratio in sorted(
-            metrics.get("serialization_speedup", {}).items()):
-        bar = ""
-        if label == "golden_load" and ratio < 3.0:
-            bar = "  ** BELOW the >= 3x bar **"
-        print(f"  serialization speedup ({label}): {ratio:.2f}x{bar}")
-    sizes = metrics.get("golden_store_bytes", {})
-    if sizes.get("json") and sizes.get("binary"):
-        print(f"  golden store size: {sizes['json']} bytes JSON vs "
-              f"{sizes['binary']} bytes binary "
-              f"({sizes['json'] / sizes['binary']:.1f}x smaller)")
     return 0
 
 
