@@ -24,7 +24,6 @@ namespace {
         [](void* v) noexcept {
           detail::tl_trial_control = static_cast<TrialControl*>(v);
         },
-        nullptr,
     });
 
 }  // namespace

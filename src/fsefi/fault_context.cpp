@@ -23,7 +23,6 @@ std::atomic<bool> g_fast_real{true};
         [](void* v) noexcept {
           detail::tl_context = static_cast<FaultContext*>(v);
         },
-        nullptr,
     });
 
 }  // namespace

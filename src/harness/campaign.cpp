@@ -108,34 +108,23 @@ CampaignResult CampaignRunner::run(const apps::App& app,
   }
   // The campaign's accounting domain. Every count below — whether from
   // this thread, an executor worker running a trial chunk, or a rank
-  // thread inside a job — lands here; totals roll up into the study's
+  // fiber inside a job — lands here; totals roll up into the study's
   // scope (if any) when this scope dies.
   telemetry::MetricScope metrics(context.metrics_parent);
   telemetry::TraceSpan span("harness", "campaign", "trials", cfg.trials);
 
-  CampaignResult result;
-  result.config = cfg;
+  GoldenRun golden;
   {
     telemetry::ScopeGuard guard(&metrics);
     telemetry::count(telemetry::Counter::HarnessCampaigns);
     if (context.golden_cache != nullptr) {
-      result.golden = *context.golden_cache->get_or_profile(
-          app, cfg.nranks, context.executor);
+      golden = *context.golden_cache->get_or_profile(app, cfg.nranks,
+                                                     context.executor);
     } else {
-      result.golden = profile_app(app, cfg.nranks);
+      golden = profile_app(app, cfg.nranks);
       telemetry::count(telemetry::Counter::HarnessGoldenProfiles);
     }
   }
-
-  // The deterministic trial machinery (plan drawing, execution, strata) —
-  // shared with the shard coordinator/worker path (src/shard), which is
-  // why a sharded campaign is bit-identical to this in-process one.
-  TrialSpace space(app, cfg, result.golden);
-
-  result.contamination_hist.assign(static_cast<std::size_t>(cfg.nranks) + 1,
-                                   0);
-  result.by_contamination.assign(static_cast<std::size_t>(cfg.nranks) + 1,
-                                 FaultInjectionResult{});
 
   Executor* executor = context.executor;
   std::unique_ptr<Executor> local_executor;
@@ -147,18 +136,29 @@ CampaignResult CampaignRunner::run(const apps::App& app,
     }
   }
 
-  // Run trials [0, n) of `body` to completion and return the
-  // serial-equivalent seconds. Inline when no executor; otherwise
-  // contiguous chunks, several per worker: large enough to amortise
-  // queueing, small enough that the tail stays balanced.
-  auto run_chunked = [&](std::size_t n, auto&& body) -> double {
-    if (n == 0) return 0.0;
-    if (executor == nullptr) {
+  // Run a batch inline when there is no executor; otherwise as contiguous
+  // chunks, several per worker: large enough to amortise queueing, small
+  // enough that the tail stays balanced. Each trial pushes the campaign
+  // scope, so its counts land here whichever thread runs it.
+  auto run_batch = [&](const TrialSpace& space,
+                       const std::vector<TrialRef>& refs) {
+    BatchResult batch;
+    batch.results.resize(refs.size());
+    auto run_range = [&](std::size_t lo, std::size_t hi) {
       const auto start = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < n; ++i) body(i);
+      for (std::size_t i = lo; i < hi; ++i) {
+        telemetry::ScopeGuard guard(&metrics);
+        batch.results[i] = space.run(refs[i]);
+      }
       return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start)
           .count();
+    };
+    const std::size_t n = refs.size();
+    if (n == 0) return batch;
+    if (executor == nullptr) {
+      batch.busy_seconds = run_range(0, n);
+      return batch;
     }
     const std::size_t chunk_target =
         static_cast<std::size_t>(executor->workers()) * 4;
@@ -172,87 +172,18 @@ CampaignResult CampaignRunner::run(const apps::App& app,
       const std::size_t lo = c * chunk;
       const std::size_t hi = std::min(lo + chunk, n);
       if (lo >= hi) break;
-      tasks.push_back([&, c, lo, hi] {
-        const auto start = std::chrono::steady_clock::now();
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-        chunk_seconds[c] = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-      });
+      tasks.push_back(
+          [&, c, lo, hi] { chunk_seconds[c] = run_range(lo, hi); });
     }
     executor->run(std::move(tasks));
     // Serial-equivalent injection time: execution spans summed across
     // workers, in chunk order so the sum itself is reproducible.
-    double total = 0.0;
-    for (double s : chunk_seconds) total += s;
-    return total;
+    for (double s : chunk_seconds) batch.busy_seconds += s;
+    return batch;
   };
 
-  // Fold one finished trial into the campaign tallies. Always called in
-  // deterministic trial order — the parallel path stays bit-identical to
-  // the serial one no matter how chunks were scheduled.
-  auto merge_trial = [&](const TrialResult& t) {
-    result.overall.add(t.outcome);
-    if (t.contaminated >= 0 &&
-        t.contaminated < static_cast<int>(result.contamination_hist.size())) {
-      result.contamination_hist[static_cast<std::size_t>(t.contaminated)] += 1;
-      result.by_contamination[static_cast<std::size_t>(t.contaminated)].add(
-          t.outcome);
-    }
-  };
-
-  // One trial body: the executing thread may be this function's thread
-  // (inline path) or an executor worker (chunked path); the scope push
-  // makes the trial's counts land in this campaign's scope either way.
-  auto run_ref = [&](const TrialRef& ref) -> TrialResult {
-    telemetry::ScopeGuard guard(&metrics);
-    return space.run(ref);
-  };
-
-  if (!cfg.adaptive.enabled) {
-    std::vector<TrialResult> outcomes(cfg.trials);
-    result.wall_seconds = run_chunked(cfg.trials, [&](std::size_t trial) {
-      outcomes[trial] = run_ref({kNoStratum, trial, trial});
-    });
-    for (const TrialResult& t : outcomes) merge_trial(t);
-    result.metrics = metrics.snapshot();
-    return result;
-  }
-
-  // ---- adaptive engine (DESIGN.md §12) ------------------------------------
-  // CI-driven early stopping over (optionally) stratified sampling. The
-  // driver issues refs and evaluates the stop rule only at batch
-  // boundaries on tallies folded in deterministic (stratum, index) order,
-  // so for a given seed the stopping point — and therefore every
-  // classified outcome — is reproducible across worker counts and
-  // scheduler modes.
-  AdaptiveDriver driver(cfg, space);
-  std::vector<TrialRef> refs;
-  while (!(refs = driver.next_batch()).empty()) {
-    std::vector<TrialResult> out(refs.size());
-    result.wall_seconds += run_chunked(
-        refs.size(), [&](std::size_t i) { out[i] = run_ref(refs[i]); });
-    // Merge in (stratum, index) order — fixed before the batch ran.
-    for (const TrialResult& t : out) merge_trial(t);
-    driver.fold(refs, out);
-  }
-
-  const AdaptiveStats stats = driver.stats();
-  result.adaptive = stats;
-  {
-    telemetry::ScopeGuard guard(&metrics);
-    telemetry::count(telemetry::Counter::CampaignTrialsSaved,
-                     static_cast<std::uint64_t>(stats.trials_requested -
-                                                stats.trials_executed));
-    telemetry::count(telemetry::Counter::CampaignStrata,
-                     static_cast<std::uint64_t>(stats.strata));
-    telemetry::trace_instant("harness",
-                             stats.stop_reason == StopReason::Converged
-                                 ? "adaptive_stop_converged"
-                                 : "adaptive_stop_trial_cap",
-                             "executed",
-                             static_cast<std::uint64_t>(stats.trials_executed));
-  }
+  CampaignResult result =
+      run_campaign_loop(app, cfg, std::move(golden), metrics, run_batch);
   // Workers have quiesced (executor->run returned / inline loop ended):
   // the merge is exact. The scope's destructor then rolls these totals up
   // into the study scope, if any.

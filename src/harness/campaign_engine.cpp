@@ -685,4 +685,76 @@ AdaptiveStats AdaptiveDriver::stats() const {
   return stats;
 }
 
+CampaignResult run_campaign_loop(const apps::App& app,
+                                 const DeploymentConfig& cfg,
+                                 GoldenRun golden,
+                                 telemetry::MetricScope& metrics,
+                                 const RunBatch& run_batch) {
+  CampaignResult result;
+  result.config = cfg;
+  result.golden = std::move(golden);
+  const TrialSpace space(app, cfg, result.golden);
+
+  result.contamination_hist.assign(static_cast<std::size_t>(cfg.nranks) + 1,
+                                   0);
+  result.by_contamination.assign(static_cast<std::size_t>(cfg.nranks) + 1,
+                                 FaultInjectionResult{});
+
+  // Run one batch and fold it into the campaign tallies, always in ref
+  // order: the parallel and sharded paths stay bit-identical to the
+  // serial one no matter how the batch was scheduled.
+  auto run_and_merge = [&](const std::vector<TrialRef>& refs) {
+    BatchResult batch = run_batch(space, refs);
+    result.wall_seconds += batch.busy_seconds;
+    for (const TrialResult& t : batch.results) {
+      result.overall.add(t.outcome);
+      if (t.contaminated >= 0 &&
+          t.contaminated < static_cast<int>(result.contamination_hist.size())) {
+        const auto x = static_cast<std::size_t>(t.contaminated);
+        result.contamination_hist[x] += 1;
+        result.by_contamination[x].add(t.outcome);
+      }
+    }
+    return std::move(batch.results);
+  };
+
+  if (!cfg.adaptive.enabled) {
+    std::vector<TrialRef> refs;
+    refs.reserve(cfg.trials);
+    for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
+      refs.push_back({kNoStratum, trial, trial});
+    }
+    (void)run_and_merge(refs);
+    return result;
+  }
+
+  // ---- adaptive engine (DESIGN.md §12) ------------------------------------
+  // CI-driven early stopping over (optionally) stratified sampling. The
+  // driver issues refs and evaluates the stop rule only at batch
+  // boundaries on tallies folded in deterministic (stratum, index) order,
+  // so for a given seed the stopping point — and therefore every
+  // classified outcome — is reproducible across worker and shard counts.
+  AdaptiveDriver driver(cfg, space);
+  std::vector<TrialRef> refs;
+  while (!(refs = driver.next_batch()).empty()) {
+    driver.fold(refs, run_and_merge(refs));
+  }
+
+  const AdaptiveStats stats = driver.stats();
+  result.adaptive = stats;
+  telemetry::ScopeGuard guard(&metrics);
+  telemetry::count(telemetry::Counter::CampaignTrialsSaved,
+                   static_cast<std::uint64_t>(stats.trials_requested -
+                                              stats.trials_executed));
+  telemetry::count(telemetry::Counter::CampaignStrata,
+                   static_cast<std::uint64_t>(stats.strata));
+  telemetry::trace_instant("harness",
+                           stats.stop_reason == StopReason::Converged
+                               ? "adaptive_stop_converged"
+                               : "adaptive_stop_trial_cap",
+                           "executed",
+                           static_cast<std::uint64_t>(stats.trials_executed));
+  return result;
+}
+
 }  // namespace resilience::harness

@@ -19,13 +19,15 @@
 //     is what lets a shard coordinator run the policy while worker
 //     processes run the refs.
 //
-// CampaignRunner::run composes both with the campaign-level bookkeeping
-// (scope, golden acquisition, contamination histograms); results are
-// bit-identical to the pre-split implementation.
+// run_campaign_loop composes both with the campaign-level bookkeeping
+// (contamination histograms, adaptive counters). It is the one campaign
+// loop: CampaignRunner::run and shard::run_sharded_campaign differ only
+// in how they acquire the golden run and how a batch of refs executes.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "harness/campaign.hpp"
@@ -181,5 +183,31 @@ class AdaptiveDriver {
   StopReason stop_ = StopReason::TrialCap;
   std::array<OutcomeInterval, 3> envelope_{};
 };
+
+/// One executed batch: results in ref order, and the busy seconds spent
+/// running it, summed across whatever workers ran it.
+struct BatchResult {
+  std::vector<TrialResult> results;
+  double busy_seconds = 0.0;
+};
+
+/// Runs a batch of refs of `space` to completion, anywhere: inline, on
+/// executor threads, or in worker processes.
+using RunBatch = std::function<BatchResult(const TrialSpace& space,
+                                           const std::vector<TrialRef>& refs)>;
+
+/// The campaign loop over an acquired golden run. Builds the TrialSpace
+/// (which validates the deployment), hands `run_batch` every fixed trial
+/// as one batch or the adaptive driver's batches one at a time, and folds
+/// the results in ref order — which is what makes a campaign bit-identical
+/// however its batches were executed. Adaptive campaigns also record
+/// campaign.trials_saved / campaign.strata in `metrics`. The returned
+/// result's `metrics` is left empty: callers snapshot their scope once
+/// execution has quiesced.
+CampaignResult run_campaign_loop(const apps::App& app,
+                                 const DeploymentConfig& config,
+                                 GoldenRun golden,
+                                 telemetry::MetricScope& metrics,
+                                 const RunBatch& run_batch);
 
 }  // namespace resilience::harness

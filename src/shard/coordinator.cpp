@@ -13,6 +13,7 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -420,9 +421,6 @@ harness::CampaignResult run_sharded_campaign(
   telemetry::MetricScope metrics(metrics_parent);
   telemetry::TraceSpan span("shard", "campaign", "trials", cfg.trials);
 
-  harness::CampaignResult result;
-  result.config = cfg;
-
   std::string store_dir = opts.golden_store_dir;
   const bool temp_store = store_dir.empty();
   if (temp_store) {
@@ -431,6 +429,7 @@ harness::CampaignResult run_sharded_campaign(
                     .string();
   }
 
+  std::shared_ptr<const harness::GoldenRun> golden;
   {
     // Golden pre-pass: fill the store before spawning workers so the
     // campaign profiles exactly once (one HarnessGoldenProfiles here) and
@@ -438,93 +437,39 @@ harness::CampaignResult run_sharded_campaign(
     telemetry::ScopeGuard guard(&metrics);
     telemetry::count(telemetry::Counter::HarnessCampaigns);
     harness::GoldenStore store(store_dir);
-    const auto golden = store.load_or_fill(app, cfg.nranks, [&] {
+    golden = store.load_or_fill(app, cfg.nranks, [&] {
       telemetry::count(telemetry::Counter::HarnessGoldenProfiles);
       return harness::profile_app(app, cfg.nranks);
     });
-    result.golden = *golden;
   }
 
-  // Built for the adaptive driver (strata, allocation weights) and to
-  // validate the deployment exactly as the in-process runner does.
-  harness::TrialSpace space(app, cfg, result.golden);
-
-  result.contamination_hist.assign(static_cast<std::size_t>(cfg.nranks) + 1,
-                                   0);
-  result.by_contamination.assign(static_cast<std::size_t>(cfg.nranks) + 1,
-                                 harness::FaultInjectionResult{});
-
-  // Identical to CampaignRunner::run's merge: always applied in
-  // deterministic ref order, which is what makes the sharded tallies
-  // bit-identical to the in-process ones.
-  auto merge_trial = [&](const harness::TrialResult& t) {
-    result.overall.add(t.outcome);
-    if (t.contaminated >= 0 &&
-        t.contaminated < static_cast<int>(result.contamination_hist.size())) {
-      result.contamination_hist[static_cast<std::size_t>(t.contaminated)] += 1;
-      result.by_contamination[static_cast<std::size_t>(t.contaminated)].add(
-          t.outcome);
+  // The fleet spawns on the first batch, once the campaign loop has
+  // validated the deployment. Fixed runs split into several units per
+  // worker, like the in-process chunk shape: large enough to amortise
+  // framing, small enough to balance the tail. Adaptive batches fan out
+  // as at most one unit per worker, with a barrier at the batch boundary
+  // (the stop rule needs the whole batch folded).
+  std::optional<Coordinator> coord;
+  const std::size_t max_units =
+      static_cast<std::size_t>(shards) * (cfg.adaptive.enabled ? 1 : 4);
+  auto run_batch = [&](const harness::TrialSpace&,
+                       const std::vector<harness::TrialRef>& refs) {
+    if (!coord) coord.emplace(app, cfg, opts, shards, store_dir, metrics);
+    std::vector<Unit> units = split_units(refs, max_units);
+    coord->run_units(units);
+    harness::BatchResult batch;
+    batch.results.reserve(refs.size());
+    for (const Unit& unit : units) {
+      batch.busy_seconds += unit.wall;
+      batch.results.insert(batch.results.end(), unit.results->begin(),
+                           unit.results->end());
     }
+    return batch;
   };
 
-  {
-    Coordinator coord(app, cfg, opts, shards, store_dir, metrics);
-
-    if (!cfg.adaptive.enabled) {
-      std::vector<harness::TrialRef> refs;
-      refs.reserve(cfg.trials);
-      for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
-        refs.push_back({harness::kNoStratum, trial, trial});
-      }
-      // Several units per worker, like the in-process chunk shape: large
-      // enough to amortise framing, small enough to balance the tail.
-      auto units =
-          split_units(refs, static_cast<std::size_t>(shards) * 4);
-      coord.run_units(units);
-      for (const Unit& unit : units) {
-        result.wall_seconds += unit.wall;
-        for (const harness::TrialResult& t : *unit.results) merge_trial(t);
-      }
-    } else {
-      // Adaptive: the coordinator runs the allocation/stop policy; each
-      // batch fans out as at most `shards` units with a barrier at the
-      // batch boundary (the stop rule needs the whole batch folded).
-      harness::AdaptiveDriver driver(cfg, space);
-      std::vector<harness::TrialRef> refs;
-      while (!(refs = driver.next_batch()).empty()) {
-        auto units = split_units(refs, static_cast<std::size_t>(shards));
-        coord.run_units(units);
-        std::vector<harness::TrialResult> out;
-        out.reserve(refs.size());
-        for (const Unit& unit : units) {
-          result.wall_seconds += unit.wall;
-          for (const harness::TrialResult& t : *unit.results) {
-            merge_trial(t);
-            out.push_back(t);
-          }
-        }
-        driver.fold(refs, out);
-      }
-
-      const harness::AdaptiveStats stats = driver.stats();
-      result.adaptive = stats;
-      {
-        telemetry::ScopeGuard guard(&metrics);
-        telemetry::count(
-            telemetry::Counter::CampaignTrialsSaved,
-            static_cast<std::uint64_t>(stats.trials_requested -
-                                       stats.trials_executed));
-        telemetry::count(telemetry::Counter::CampaignStrata,
-                         static_cast<std::uint64_t>(stats.strata));
-        telemetry::trace_instant(
-            "harness",
-            stats.stop_reason == harness::StopReason::Converged
-                ? "adaptive_stop_converged"
-                : "adaptive_stop_trial_cap",
-            "executed", static_cast<std::uint64_t>(stats.trials_executed));
-      }
-    }
-  }  // ~Coordinator: shutdown frames, close, reap
+  harness::CampaignResult result =
+      harness::run_campaign_loop(app, cfg, *golden, metrics, run_batch);
+  coord.reset();  // shutdown frames, close, reap
 
   result.metrics = metrics.snapshot();
   if (temp_store) {

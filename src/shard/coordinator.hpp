@@ -4,10 +4,10 @@
 // and farms them to worker processes (the same binary re-exec'd with
 // --shard-worker) over Unix-domain socketpairs, speaking the binary
 // frames of shard/protocol.hpp. Because a trial's randomness is a pure
-// function of (config.seed, ref) and tallies are folded in ref order, the
-// merged result is bit-identical to CampaignRunner::run on one process —
-// sharding is execution policy, like the in-process executor's worker
-// count.
+// function of (config.seed, ref) and both paths fold tallies in ref order
+// through the same loop (harness::run_campaign_loop), the merged result
+// is bit-identical to CampaignRunner::run on one process — sharding is
+// execution policy, like the in-process executor's worker count.
 //
 // The golden pre-pass runs exactly once: the coordinator fills the
 // on-disk GoldenStore before spawning workers, and workers load the

@@ -324,23 +324,6 @@ std::optional<std::vector<std::byte>> read_frame_bytes(int fd) {
   return payload;
 }
 
-void write_frame(int fd, const util::Json& message) {
-  const std::string payload = message.dump();
-  write_frame_bytes(
-      fd,
-      std::span<const std::byte>(
-          reinterpret_cast<const std::byte*>(payload.data()), payload.size()),
-      "json frame");
-}
-
-std::optional<util::Json> read_frame(int fd) {
-  auto payload = read_frame_bytes(fd);
-  if (!payload) return std::nullopt;
-  return util::Json::parse(
-      std::string(reinterpret_cast<const char*>(payload->data()),
-                  payload->size()));
-}
-
 std::vector<std::byte> encode_handshake() {
   util::BinWriter w;
   w.bytes(std::span<const std::byte>(
@@ -393,80 +376,6 @@ std::optional<Message> read_message(int fd) {
   auto payload = read_frame_bytes(fd);
   if (!payload) return std::nullopt;
   return decode_message(*payload);
-}
-
-util::Json deployment_to_json(const harness::DeploymentConfig& config) {
-  util::JsonObject obj;
-  obj["nranks"] = util::Json(config.nranks);
-  obj["errors_per_test"] = util::Json(config.errors_per_test);
-  // The whole scenario, unconditionally: unlike the campaign file schema
-  // there is no legacy shape to preserve here.
-  util::JsonObject sc;
-  sc["domain"] = util::Json(static_cast<int>(config.scenario.domain));
-  sc["pattern"] = util::Json(static_cast<int>(config.scenario.pattern));
-  sc["arrival"] = util::Json(static_cast<int>(config.scenario.arrival));
-  sc["kinds"] = util::Json(static_cast<int>(config.scenario.kinds));
-  sc["regions"] = util::Json(static_cast<int>(config.scenario.regions));
-  sc["mtbf_factor"] = util::Json(config.scenario.mtbf_factor);
-  obj["scenario"] = util::Json(std::move(sc));
-  obj["trials"] = util::Json(config.trials);
-  obj["seed"] = util::Json(config.seed);
-  obj["selection"] = util::Json(static_cast<int>(config.selection));
-  obj["hang_budget_factor"] = util::Json(config.hang_budget_factor);
-  obj["hang_budget_slack"] = util::Json(config.hang_budget_slack);
-  obj["max_workers"] = util::Json(config.max_workers);
-  const harness::AdaptiveConfig& ad = config.adaptive;
-  util::JsonObject adj;
-  adj["enabled"] = util::Json(ad.enabled);
-  adj["batch"] = util::Json(ad.batch);
-  adj["min_trials"] = util::Json(ad.min_trials);
-  adj["ci_half_width"] = util::Json(ad.ci_half_width);
-  adj["ci_relative"] = util::Json(ad.ci_relative);
-  adj["confidence_z"] = util::Json(ad.confidence_z);
-  adj["rare_threshold"] = util::Json(ad.rare_threshold);
-  adj["stratify"] = util::Json(ad.stratify);
-  adj["deciles"] = util::Json(ad.deciles);
-  obj["adaptive"] = util::Json(std::move(adj));
-  return util::Json(std::move(obj));
-}
-
-harness::DeploymentConfig deployment_from_json(const util::Json& json) {
-  harness::DeploymentConfig config;
-  config.nranks = static_cast<int>(json.at("nranks").as_int());
-  config.errors_per_test =
-      static_cast<int>(json.at("errors_per_test").as_int());
-  const auto& sc = json.at("scenario");
-  config.scenario.domain =
-      static_cast<fsefi::FaultDomain>(sc.at("domain").as_int());
-  config.scenario.pattern =
-      static_cast<fsefi::FaultPattern>(sc.at("pattern").as_int());
-  config.scenario.arrival =
-      static_cast<fsefi::ArrivalModel>(sc.at("arrival").as_int());
-  config.scenario.kinds =
-      static_cast<fsefi::KindMask>(sc.at("kinds").as_int());
-  config.scenario.regions =
-      static_cast<fsefi::RegionMask>(sc.at("regions").as_int());
-  config.scenario.mtbf_factor = sc.at("mtbf_factor").as_double();
-  config.trials = static_cast<std::size_t>(json.at("trials").as_int());
-  config.seed = static_cast<std::uint64_t>(json.at("seed").as_int());
-  config.selection =
-      static_cast<harness::TargetSelection>(json.at("selection").as_int());
-  config.hang_budget_factor = json.at("hang_budget_factor").as_double();
-  config.hang_budget_slack =
-      static_cast<std::uint64_t>(json.at("hang_budget_slack").as_int());
-  config.max_workers = static_cast<int>(json.at("max_workers").as_int());
-  const auto& adj = json.at("adaptive");
-  harness::AdaptiveConfig& ad = config.adaptive;
-  ad.enabled = adj.at("enabled").as_bool();
-  ad.batch = static_cast<std::size_t>(adj.at("batch").as_int());
-  ad.min_trials = static_cast<std::size_t>(adj.at("min_trials").as_int());
-  ad.ci_half_width = adj.at("ci_half_width").as_double();
-  ad.ci_relative = adj.at("ci_relative").as_double();
-  ad.confidence_z = adj.at("confidence_z").as_double();
-  ad.rare_threshold = adj.at("rare_threshold").as_double();
-  ad.stratify = adj.at("stratify").as_bool();
-  ad.deciles = static_cast<int>(adj.at("deciles").as_int());
-  return config;
 }
 
 }  // namespace resilience::shard

@@ -33,7 +33,6 @@
 
 #include "harness/campaign_engine.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/json.hpp"
 
 namespace resilience::shard {
 
@@ -70,11 +69,6 @@ void write_frame_bytes(int fd, std::span<const std::byte> payload,
 /// boundary; throws std::runtime_error on a truncated frame (peer died
 /// mid-write) or a length prefix over the frame cap.
 [[nodiscard]] std::optional<std::vector<std::byte>> read_frame_bytes(int fd);
-
-/// JSON-frame convenience used by the study service (whose external
-/// request API is JSON).
-void write_frame(int fd, const util::Json& message);
-[[nodiscard]] std::optional<util::Json> read_frame(int fd);
 
 // ---- handshake -------------------------------------------------------------
 
@@ -149,14 +143,5 @@ using Message =
 void write_message(int fd, const Message& message);
 /// nullopt on clean EOF at a frame boundary.
 [[nodiscard]] std::optional<Message> read_message(int fd);
-
-// ---- JSON deployment codec (study service request API) ---------------------
-
-/// Full-fidelity deployment config — unlike the campaign file schema this
-/// carries every execution-relevant field (hang budget, adaptive engine
-/// parameters), so a served campaign runs exactly the requested
-/// TrialSpace.
-util::Json deployment_to_json(const harness::DeploymentConfig& config);
-harness::DeploymentConfig deployment_from_json(const util::Json& json);
 
 }  // namespace resilience::shard

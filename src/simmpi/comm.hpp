@@ -88,8 +88,11 @@ struct JobState {
 
 /// Whether collectives fuse at the group meeting point (the default) or
 /// decompose into mailbox messages — the reference the fused path is
-/// tested against. A programmatic test/bench toggle only: there is no
-/// environment knob, because the two paths are semantically identical.
+/// tested against. A programmatic test/bench toggle only, with no
+/// environment knob. The two paths agree on every completed job's values,
+/// but not on aborted ones: how far peers progress before an abort
+/// reaches them differs, so a failing trial's contamination count (and
+/// with it a campaign's contamination histogram) can differ between them.
 [[nodiscard]] bool fused_collectives_enabled() noexcept;
 void set_fused_collectives_enabled(bool enabled) noexcept;
 

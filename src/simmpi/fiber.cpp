@@ -14,6 +14,9 @@
 #if defined(RESILIENCE_TSAN_FIBERS)
 #include <sanitizer/tsan_interface.h>
 #endif
+#if defined(RESILIENCE_ASAN_FIBERS)
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 #ifndef MAP_STACK
 #define MAP_STACK 0
@@ -151,6 +154,10 @@ void FiberContext::trampoline(unsigned hi, unsigned lo) {
       (static_cast<std::uint64_t>(hi) << 32) | static_cast<std::uint64_t>(lo);
   auto* self =
       reinterpret_cast<FiberContext*>(static_cast<std::uintptr_t>(bits));
+#if defined(RESILIENCE_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(nullptr, &self->asan_return_bottom_,
+                                  &self->asan_return_size_);
+#endif
   self->entry_(self->arg_);
   // The entry contract is a final switch_out(); falling off the context
   // would terminate the thread (uc_link is null).
@@ -167,10 +174,18 @@ void FiberContext::switch_in() {
   tl_worker_tsan_fiber = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
+#if defined(RESILIENCE_ASAN_FIBERS)
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, context_.uc_stack.ss_sp,
+                                 context_.uc_stack.ss_size);
+#endif
   if (::swapcontext(&here, &context_) != 0) {
     std::fprintf(stderr, "fiber: swapcontext into fiber failed\n");
     std::abort();
   }
+#if defined(RESILIENCE_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
 #if defined(RESILIENCE_TSAN_FIBERS)
   tl_worker_tsan_fiber = previous_tsan;
 #endif
@@ -182,10 +197,20 @@ void FiberContext::switch_out() {
 #if defined(RESILIENCE_TSAN_FIBERS)
   __tsan_switch_to_fiber(tl_worker_tsan_fiber, 0);
 #endif
+#if defined(RESILIENCE_ASAN_FIBERS)
+  // A finished fiber's last switch_out never returns, so its saved fake
+  // stack (used only with detect_stack_use_after_return) is not reclaimed.
+  __sanitizer_start_switch_fiber(&asan_fake_stack_, asan_return_bottom_,
+                                 asan_return_size_);
+#endif
   if (::swapcontext(&context_, back) != 0) {
     std::fprintf(stderr, "fiber: swapcontext out of fiber failed\n");
     std::abort();
   }
+#if defined(RESILIENCE_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(asan_fake_stack_, &asan_return_bottom_,
+                                  &asan_return_size_);
+#endif
 }
 
 void FiberContext::clear_stack_pool() { StackPool::instance().clear(); }

@@ -18,6 +18,12 @@
 // before the swapcontext, and fiber creation/destruction via
 // __tsan_create_fiber/__tsan_destroy_fiber, so the tsan-labeled test
 // suite runs unchanged on the fiber scheduler.
+//
+// AddressSanitizer: every swapcontext is bracketed by
+// __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber, so
+// ASan knows which stack is live. Without them, an exception unwinding
+// on a fiber stack makes ASan's no-return handler poison the wrong stack
+// and report a false stack-use-after-scope.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +33,14 @@
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define RESILIENCE_TSAN_FIBERS 1
+#endif
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define RESILIENCE_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RESILIENCE_ASAN_FIBERS 1
 #endif
 #endif
 
@@ -72,6 +86,12 @@ class FiberContext {
   ucontext_t context_{};
 #if defined(RESILIENCE_TSAN_FIBERS)
   void* tsan_fiber_ = nullptr;
+#endif
+#if defined(RESILIENCE_ASAN_FIBERS)
+  void* asan_fake_stack_ = nullptr;  ///< saved while switched out
+  /// Stack that switch_out() returns to (the resuming loop's thread).
+  const void* asan_return_bottom_ = nullptr;
+  std::size_t asan_return_size_ = 0;
 #endif
 };
 

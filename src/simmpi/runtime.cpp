@@ -56,13 +56,9 @@ RunResult Runtime::run(int nranks, const std::function<void(Comm&)>& body,
     }
   };
 
-  // Every fiber starts with a fresh thread-local bank; adopting the
-  // launching thread's metric-scope stack makes substrate counters land
-  // in the campaign that caused them.
-  const telemetry::ScopeStackHandle scopes = telemetry::current_scope_stack();
-
+  // Rank fibers run on this thread, so their counts land in its metric
+  // scope stack — the campaign that launched the job (telemetry.hpp).
   auto rank_main = [&](int rank) {
-    telemetry::AdoptScopeStack adopt(scopes);
     Comm comm(&job, rank, nranks);
     if (options.on_rank_start) options.on_rank_start(rank);
     try {

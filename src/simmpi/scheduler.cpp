@@ -24,9 +24,7 @@ namespace detail {
 Fiber::Fiber(FiberScheduler* scheduler, int rank, std::size_t stack_bytes)
     : scheduler_(scheduler),
       rank_(rank),
-      context_(stack_bytes, &Fiber::entry_thunk, this) {
-  util::FiberTlsRegistry::init(tls_);
-}
+      context_(stack_bytes, &Fiber::entry_thunk, this) {}
 
 void Fiber::entry_thunk(void* arg) {
   auto* fiber = static_cast<Fiber*>(arg);

@@ -27,10 +27,10 @@
 // Runtime::run records as the job's deadlock verdict.
 //
 // Per-fiber TLS: resume() installs the fiber's saved bank of registered
-// thread-local slots (util::FiberTlsRegistry — fault-injector context,
-// trial control, telemetry scope stack and lane) and restores the
-// launching thread's bank on suspend, so every rank keeps its own
-// per-rank state although all ranks share one thread.
+// thread-local slots (util::FiberTlsRegistry — fault-injector context
+// and trial control) and restores the launching thread's bank on
+// suspend, so every rank keeps its own per-rank state although all ranks
+// share one thread.
 #pragma once
 
 #include <cstddef>

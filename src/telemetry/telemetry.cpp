@@ -3,8 +3,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "util/fiber_tls.hpp"
-
 namespace resilience::telemetry {
 
 namespace {
@@ -171,55 +169,19 @@ namespace detail {
 std::atomic<bool> g_metrics_enabled{true};
 std::atomic<bool> g_trace_enabled{false};
 thread_local constinit ScopeNode* tl_scope_top = nullptr;
-
-namespace {
-std::atomic<std::uint64_t> g_next_lane{1};
-thread_local constinit std::uint64_t tl_lane = 0;  // 0 = not yet assigned
-}  // namespace
-
-std::uint64_t new_lane() noexcept {
-  return g_next_lane.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t current_lane() noexcept {
-  if (tl_lane == 0) tl_lane = new_lane();
-  return tl_lane;
-}
-
-void set_current_lane(std::uint64_t lane) noexcept { tl_lane = lane; }
-
 }  // namespace detail
 
 namespace {
 
-// Fiber-local slots: each fiber keeps its own scope stack and lane while
-// it shares a thread with its job's other fibers. The scope-stack nodes
-// live on the fiber's own stack (ScopeGuard / AdoptScopeStack frames), so
-// swapping the head pointer is sufficient; the lane makes the fiber keep
-// writing the same single-writer shards it resolved earlier.
-[[maybe_unused]] const std::size_t g_scope_stack_slot =
-    util::FiberTlsRegistry::add({
-        []() noexcept -> void* { return detail::tl_scope_top; },
-        [](void* v) noexcept {
-          detail::tl_scope_top = static_cast<detail::ScopeNode*>(v);
-        },
-        nullptr,
-    });
-
-[[maybe_unused]] const std::size_t g_lane_slot = util::FiberTlsRegistry::add({
-    []() noexcept -> void* {
-      return reinterpret_cast<void*>(
-          static_cast<std::uintptr_t>(detail::tl_lane));
-    },
-    [](void* v) noexcept {
-      detail::set_current_lane(
-          static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(v)));
-    },
-    []() noexcept -> void* {
-      return reinterpret_cast<void*>(
-          static_cast<std::uintptr_t>(detail::new_lane()));
-    },
-});
+/// Process-unique id of the calling thread, the key of its shards. Unlike
+/// std::thread::id it is never reused, so a new thread never writes into
+/// the shard of one that has exited.
+std::uint64_t thread_key() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  thread_local const std::uint64_t key =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return key;
+}
 
 }  // namespace
 
@@ -252,14 +214,14 @@ MetricsSnapshot MetricScope::snapshot() const {
   return out;
 }
 
-detail::Shard* MetricScope::shard_for_current_lane() {
-  const std::uint64_t lane = detail::current_lane();
+detail::Shard* MetricScope::shard_for_current_thread() {
+  const std::uint64_t key = thread_key();
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_lane_.find(lane);
-  if (it != by_lane_.end()) return it->second;
+  auto it = by_thread_.find(key);
+  if (it != by_thread_.end()) return it->second;
   shards_.push_back(std::make_unique<detail::Shard>());
   detail::Shard* shard = shards_.back().get();
-  by_lane_.emplace(lane, shard);
+  by_thread_.emplace(key, shard);
   return shard;
 }
 
@@ -268,7 +230,7 @@ void MetricScope::absorb(const MetricsSnapshot& snapshot) noexcept {
 }
 
 void MetricScope::fold(const MetricsSnapshot& child) noexcept {
-  detail::Shard* shard = shard_for_current_lane();
+  detail::Shard* shard = shard_for_current_thread();
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     if (child.counters[i] != 0) {
       shard->add(static_cast<Counter>(i), child.counters[i]);
@@ -283,37 +245,6 @@ void MetricScope::fold(const MetricsSnapshot& child) noexcept {
                    std::memory_order_relaxed);
       }
     }
-  }
-}
-
-AdoptScopeStack::AdoptScopeStack(ScopeStackHandle handle) {
-  if (handle.head == nullptr || detail::tl_scope_top == handle.head) return;
-  // Walk the captured stack outermost-first so this thread's stack mirrors
-  // the capturing thread's nesting order.
-  std::array<detail::ScopeNode*, kMaxDepth> captured{};
-  std::size_t n = 0;
-  for (detail::ScopeNode* s = handle.head; s != nullptr && n < kMaxDepth;
-       s = s->parent) {
-    captured[n++] = s;
-  }
-  for (std::size_t i = n; i > 0; --i) {
-    detail::ScopeNode& node = nodes_[depth_];
-    // A fresh shard per adopting lane: the captured node's shard is the
-    // capturing context's private bank, and several ranks adopt the same
-    // stack concurrently — sharing it would break single-writer.
-    node.scope = captured[i - 1]->scope;
-    node.shard = node.scope->shard_for_current_lane();
-    node.parent = detail::tl_scope_top;
-    detail::tl_scope_top = &node;
-    ++depth_;
-  }
-  adopted_ = true;
-}
-
-AdoptScopeStack::~AdoptScopeStack() {
-  if (!adopted_) return;
-  for (std::size_t i = 0; i < depth_; ++i) {
-    detail::tl_scope_top = detail::tl_scope_top->parent;
   }
 }
 

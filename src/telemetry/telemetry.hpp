@@ -25,9 +25,16 @@
 // Scoping: a MetricScope delimits an accounting domain (one campaign, one
 // study). Scopes form a rollup chain — a campaign scope created with the
 // study scope as parent folds its totals into the parent when it dies —
-// and the *stack* of active scopes is thread-local, adopted by every
-// simmpi rank fiber via AdoptScopeStack so substrate counters (mailbox
-// waits, pool reuse) land in the campaign that caused them.
+// and the *stack* of active scopes is thread-local.
+//
+// simmpi rank fibers need no scope plumbing of their own: a job's fibers
+// run one at a time on the thread that launched it, so they count into
+// that thread's innermost scope through that thread's shard, and
+// substrate counters (mailbox waits, pool reuse) land in the campaign
+// that caused them. This holds because no rank body pushes a ScopeGuard:
+// every guard sits in the harness, core and shard layers, outside
+// Runtime::run bodies. A guard pushed inside a rank body would stay on
+// the thread's stack while the scheduler ran the job's other fibers.
 #pragma once
 
 #include <array>
@@ -38,7 +45,6 @@
 #include <memory>
 #include <mutex>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -217,9 +223,6 @@ struct Shard {
 struct ScopeNode {
   Shard* shard = nullptr;
   ScopeNode* parent = nullptr;
-  /// Owning scope, so AdoptScopeStack can resolve a fresh shard for each
-  /// adopting thread (shards are single-writer).
-  MetricScope* scope = nullptr;
 };
 
 // constinit: guarantees constant initialization so cross-TU access does
@@ -227,18 +230,6 @@ struct ScopeNode {
 // potential null reference and which would put a guard check on the
 // metrics hot path).
 extern thread_local constinit ScopeNode* tl_scope_top;
-
-// ---- lanes ----
-// A *lane* is the unit of shard ownership: a small process-unique id for
-// one logical execution context. A plain thread lazily allocates a lane
-// on first use and keeps it forever; a fiber gets a fresh lane at
-// creation, swapped in and out by the scheduler's per-fiber TLS (the lane
-// and the scope stack are registered fiber-local slots). Keying shards by
-// lane instead of std::thread::id gives each rank fiber its own shard
-// although all of a job's fibers share one thread.
-[[nodiscard]] std::uint64_t current_lane() noexcept;
-void set_current_lane(std::uint64_t lane) noexcept;
-[[nodiscard]] std::uint64_t new_lane() noexcept;
 
 }  // namespace detail
 
@@ -258,13 +249,12 @@ class MetricScope {
   /// executor/job joins) for exact totals.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// The calling lane's shard in this scope (created on first use). A
-  /// lane is a thread — or a fiber, wherever it currently runs.
-  [[nodiscard]] detail::Shard* shard_for_current_lane();
+  /// The calling thread's shard in this scope (created on first use).
+  [[nodiscard]] detail::Shard* shard_for_current_thread();
 
   /// Fold an externally produced snapshot — a shard worker process's
   /// counters arriving over the wire — into this scope, attributed to the
-  /// calling lane. Unlike count()/record() this adds raw histogram
+  /// calling thread. Unlike count()/record() this adds raw histogram
   /// buckets, so a worker's observations keep their exact distribution.
   void absorb(const MetricsSnapshot& snapshot) noexcept;
 
@@ -274,7 +264,7 @@ class MetricScope {
   MetricScope* parent_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<detail::Shard>> shards_;
-  std::unordered_map<std::uint64_t, detail::Shard*> by_lane_;
+  std::unordered_map<std::uint64_t, detail::Shard*> by_thread_;
 };
 
 /// RAII: makes `scope` the innermost accounting domain of this thread.
@@ -282,8 +272,7 @@ class ScopeGuard {
  public:
   explicit ScopeGuard(MetricScope* scope) {
     if (scope == nullptr) return;
-    node_.shard = scope->shard_for_current_lane();
-    node_.scope = scope;
+    node_.shard = scope->shard_for_current_thread();
     node_.parent = detail::tl_scope_top;
     // Storing a stack address in a thread-local is the point of the RAII
     // guard: the destructor pops it before the node dies.
@@ -306,35 +295,6 @@ class ScopeGuard {
  private:
   detail::ScopeNode node_;
   bool pushed_ = false;
-};
-
-/// The scope stack of the calling thread, as an opaque handle a job
-/// launcher can capture and re-establish in its rank fibers. The nodes
-/// live on the capturing thread's stack: valid only while that thread
-/// runs the job.
-struct ScopeStackHandle {
-  detail::ScopeNode* head = nullptr;
-};
-[[nodiscard]] inline ScopeStackHandle current_scope_stack() noexcept {
-  return {detail::tl_scope_top};
-}
-
-/// Re-establish a captured scope stack in this execution context (the
-/// rank fibers of a simmpi job). Shards are resolved per lane, so adopted
-/// counts stay lock-free. No-op when the captured stack is already active
-/// (the single-rank inline path runs on the capturing thread itself).
-class AdoptScopeStack {
- public:
-  explicit AdoptScopeStack(ScopeStackHandle handle);
-  ~AdoptScopeStack();
-  AdoptScopeStack(const AdoptScopeStack&) = delete;
-  AdoptScopeStack& operator=(const AdoptScopeStack&) = delete;
-
- private:
-  static constexpr std::size_t kMaxDepth = 8;
-  std::array<detail::ScopeNode, kMaxDepth> nodes_{};
-  std::size_t depth_ = 0;
-  bool adopted_ = false;
 };
 
 // ---- recording -------------------------------------------------------------

@@ -27,13 +27,6 @@ std::size_t FiberTlsRegistry::add(const FiberTlsSlot& slot) noexcept {
   return index;
 }
 
-void FiberTlsRegistry::init(Values& values) noexcept {
-  const std::size_t n = g_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = g_slots[i].initial != nullptr ? g_slots[i].initial() : nullptr;
-  }
-}
-
 void FiberTlsRegistry::swap(Values& values) noexcept {
   const std::size_t n = g_count.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) {

@@ -2,12 +2,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/options.hpp"
 
 namespace resilience::harness {
 namespace {
@@ -108,12 +109,19 @@ TEST(Executor, ConcurrentBatchesShareThePool) {
 }
 
 TEST(Executor, ResolveWorkersPrecedence) {
+  // RuntimeOptions::global() latches the environment on first use, so
+  // the knob is injected directly; setenv here would depend on whether an
+  // earlier test in this process had already latched it.
+  auto opts = util::RuntimeOptions::from_env();
+  opts.threads = 5;
+  util::RuntimeOptions::set_global(opts);
   EXPECT_EQ(Executor::resolve_workers(3), 3);
-  ::setenv("RESILIENCE_THREADS", "5", 1);
   EXPECT_EQ(Executor::resolve_workers(0), 5);
-  EXPECT_EQ(Executor::resolve_workers(2), 2);  // explicit beats env
-  ::unsetenv("RESILIENCE_THREADS");
+  EXPECT_EQ(Executor::resolve_workers(2), 2);  // explicit beats the knob
+  opts.threads = 0;
+  util::RuntimeOptions::set_global(opts);
   EXPECT_GE(Executor::resolve_workers(0), 1);
+  util::RuntimeOptions::reset_global();
 }
 
 }  // namespace

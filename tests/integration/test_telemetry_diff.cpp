@@ -114,8 +114,8 @@ TEST(TelemetryDiff, SameSeedTwiceReportsIdenticalLogicalCounters) {
 }
 
 TEST(TelemetryDiff, ConcurrentTrialsRollUpEveryCountExactlyOnce) {
-  // Every rank fiber of every trial writes its own telemetry lane, and
-  // trials run side by side on the executor's threads. The campaign
+  // Every rank fiber of a trial counts through its executor thread's
+  // shard, and trials run side by side on the executor's threads. The campaign
   // rollup must still fold every shard exactly once: the logical view of
   // a 4-worker fused campaign equals the serial mailbox-path view bit for
   // bit, and the absolute harness counters match the trial count (a

@@ -1,7 +1,6 @@
 // Sharded campaign execution (DESIGN.md §13): wire protocol round trips,
 // coordinator/worker end-to-end determinism against the in-process
-// runner, worker-crash recovery, golden-store reuse, and the StudyService
-// request dispatcher.
+// runner, worker-crash recovery, and golden-store reuse.
 //
 // This binary has a custom main: the coordinator re-execs the test binary
 // itself as its worker processes (--shard-worker=<fd>), so main must
@@ -26,11 +25,9 @@
 #include "harness/serialize.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/protocol.hpp"
-#include "shard/service.hpp"
 #include "shard/worker.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/binio.hpp"
-#include "util/json.hpp"
 #include "util/options.hpp"
 
 namespace {
@@ -59,21 +56,47 @@ std::string normalized_dump(harness::CampaignResult result) {
   return harness::to_json(result).dump();
 }
 
+// Every execution-relevant deployment field, one by one: a codec that
+// dropped any of them would run a different TrialSpace on the worker.
+void expect_same_deployment(const harness::DeploymentConfig& a,
+                            const harness::DeploymentConfig& b) {
+  EXPECT_EQ(a.nranks, b.nranks);
+  EXPECT_EQ(a.errors_per_test, b.errors_per_test);
+  EXPECT_TRUE(a.scenario == b.scenario);
+  EXPECT_EQ(a.trials, b.trials);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.selection, b.selection);
+  EXPECT_EQ(a.hang_budget_factor, b.hang_budget_factor);
+  EXPECT_EQ(a.hang_budget_slack, b.hang_budget_slack);
+  EXPECT_EQ(a.max_workers, b.max_workers);
+  EXPECT_EQ(a.adaptive.enabled, b.adaptive.enabled);
+  EXPECT_EQ(a.adaptive.batch, b.adaptive.batch);
+  EXPECT_EQ(a.adaptive.min_trials, b.adaptive.min_trials);
+  EXPECT_EQ(a.adaptive.ci_half_width, b.adaptive.ci_half_width);
+  EXPECT_EQ(a.adaptive.ci_relative, b.adaptive.ci_relative);
+  EXPECT_EQ(a.adaptive.confidence_z, b.adaptive.confidence_z);
+  EXPECT_EQ(a.adaptive.rare_threshold, b.adaptive.rare_threshold);
+  EXPECT_EQ(a.adaptive.stratify, b.adaptive.stratify);
+  EXPECT_EQ(a.adaptive.deciles, b.adaptive.deciles);
+}
+
 TEST(ShardProtocol, FramesRoundTripOverSocketpair) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
 
-  util::JsonObject obj;
-  obj["type"] = util::Json("unit");
-  obj["id"] = util::Json(7);
-  const std::string sent = util::Json(obj).dump();
-  shard::write_frame(sv[0], util::Json(std::move(obj)));
-  const auto got = shard::read_frame(sv[1]);
+  const std::vector<std::byte> sent = {std::byte{7}, std::byte{0},
+                                       std::byte{0xFF}, std::byte{42}};
+  shard::write_frame_bytes(sv[0], sent, "test frame");
+  shard::write_frame_bytes(sv[0], {}, "empty frame");
+  const auto got = shard::read_frame_bytes(sv[1]);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->dump(), sent);
+  EXPECT_EQ(*got, sent);
+  const auto empty = shard::read_frame_bytes(sv[1]);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->empty());
 
   ::close(sv[0]);  // EOF at a frame boundary: clean nullopt
-  EXPECT_FALSE(shard::read_frame(sv[1]).has_value());
+  EXPECT_FALSE(shard::read_frame_bytes(sv[1]).has_value());
   ::close(sv[1]);
 }
 
@@ -84,7 +107,7 @@ TEST(ShardProtocol, TruncatedFrameThrows) {
   ASSERT_EQ(::write(sv[0], partial, sizeof(partial)),
             static_cast<ssize_t>(sizeof(partial)));
   ::close(sv[0]);
-  EXPECT_THROW((void)shard::read_frame(sv[1]), std::runtime_error);
+  EXPECT_THROW((void)shard::read_frame_bytes(sv[1]), std::runtime_error);
   ::close(sv[1]);
 }
 
@@ -107,10 +130,12 @@ TEST(ShardProtocol, RefsKeepNoStratumAndConfigFullFidelity) {
   dep.adaptive.enabled = true;
   dep.adaptive.batch = 5;
   dep.adaptive.ci_half_width = 0.05;
-  const harness::DeploymentConfig cfg_back = shard::deployment_from_json(
-      util::Json::parse(shard::deployment_to_json(dep).dump()));
-  EXPECT_EQ(shard::deployment_to_json(cfg_back).dump(),
-            shard::deployment_to_json(dep).dump());
+  dep.scenario.mtbf_factor = 3.5;
+  shard::InitMsg init;
+  init.config = dep;
+  const auto init_back =
+      shard::decode_message(shard::encode_message(shard::Message(init)));
+  expect_same_deployment(std::get<shard::InitMsg>(init_back).config, dep);
 }
 
 // ---- binary wire protocol ---------------------------------------------
@@ -166,8 +191,7 @@ TEST(ShardWire, EveryMessageKindRoundTrips) {
   EXPECT_EQ(i->size_class, init.size_class);
   EXPECT_EQ(i->store, init.store);
   EXPECT_EQ(i->kill_after_units, init.kill_after_units);
-  EXPECT_EQ(shard::deployment_to_json(i->config).dump(),
-            shard::deployment_to_json(init.config).dump());
+  expect_same_deployment(i->config, init.config);
 
   const auto ready_back = round_trip(shard::ReadyMsg{sample_metrics()});
   const auto* rd = std::get_if<shard::ReadyMsg>(&ready_back);
@@ -418,46 +442,6 @@ TEST(ShardCampaign, GoldenStoreServesSecondInvocation) {
             0u);
   EXPECT_GE(second.metrics.value(telemetry::Counter::GoldenStoreHits), 3u);
   std::filesystem::remove_all(opts.golden_store_dir);
-}
-
-TEST(StudyService, CachesDeterministicCampaigns) {
-  shard::StudyService service;
-
-  util::JsonObject ping;
-  ping["type"] = util::Json("ping");
-  EXPECT_EQ(service.handle(util::Json(std::move(ping))).at("type").as_string(),
-            "pong");
-
-  util::JsonObject req;
-  req["type"] = util::Json("campaign");
-  req["app"] = util::Json("CG");
-  req["size_class"] = util::Json("");
-  req["config"] = shard::deployment_to_json(small_config(10));
-  req["shards"] = util::Json(0);  // in-process inside the service
-  const util::Json request(std::move(req));
-
-  const util::Json first = service.handle(request);
-  ASSERT_EQ(first.at("type").as_string(), "result");
-  EXPECT_FALSE(first.at("cached").as_bool());
-
-  const util::Json second = service.handle(request);
-  ASSERT_EQ(second.at("type").as_string(), "result");
-  EXPECT_TRUE(second.at("cached").as_bool());
-  EXPECT_EQ(second.at("campaign").dump(), first.at("campaign").dump());
-  EXPECT_EQ(service.cache_hits(), 1u);
-
-  util::JsonObject bad;
-  bad["type"] = util::Json("campaign");
-  bad["app"] = util::Json("NOPE");
-  bad["config"] = shard::deployment_to_json(small_config(1));
-  EXPECT_EQ(service.handle(util::Json(std::move(bad))).at("type").as_string(),
-            "error");
-
-  util::JsonObject down;
-  down["type"] = util::Json("shutdown");
-  EXPECT_EQ(service.handle(util::Json(std::move(down))).at("type").as_string(),
-            "ok");
-  EXPECT_TRUE(service.shutdown_requested());
 }
 
 }  // namespace

@@ -96,10 +96,10 @@ TEST(MetricScope, ManyThreadsCountLockFree) {
             kThreads * kPerThread);
 }
 
-TEST(MetricScope, RankThreadsAdoptTheLaunchersScopeStack) {
-  // The simmpi runtime propagates the launching thread's scope stack onto
-  // its rank threads, so per-rank activity lands in the campaign/study
-  // scopes. SimmpiJobs is counted by the runtime itself.
+TEST(MetricScope, RankFibersCountIntoTheLaunchersScope) {
+  // A job's rank fibers run on the launching thread and count through its
+  // scope stack, so per-rank activity lands in the campaign/study scopes.
+  // SimmpiJobs is counted by the runtime itself.
   MetricScope scope;
   {
     ScopeGuard guard(&scope);
