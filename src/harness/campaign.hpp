@@ -65,11 +65,6 @@ struct AdaptiveConfig {
   bool stratify = true;
   /// Dynamic-op deciles per (region, kind) cell.
   int deciles = 10;
-
-  /// Resolve defaults from the RESILIENCE_ADAPTIVE* knobs
-  /// (util::RuntimeOptions). Library callers get the engine only by
-  /// opting in here or by setting fields explicitly.
-  static AdaptiveConfig from_runtime();
 };
 
 /// Why an adaptive campaign stopped drawing trials.
@@ -143,12 +138,11 @@ struct DeploymentConfig {
   /// Hang guard: budget = factor * fault-free max rank ops + slack.
   double hang_budget_factor = 8.0;
   std::uint64_t hang_budget_slack = 1u << 16;
-  /// Campaign-executor worker count. 0 = auto (RESILIENCE_THREADS env or
-  /// hardware concurrency); 1 = the serial inline path. Execution policy
-  /// only: results are bit-identical for every value (trials have
-  /// independent per-trial seed streams and merge in trial order), so this
-  /// is not part of the deployment's identity — serialization and
-  /// merge_campaigns ignore it.
+  /// Campaign-executor worker count. 0 = auto (hardware concurrency);
+  /// 1 = the serial inline path. Execution policy only: results are
+  /// bit-identical for every value (trials have independent per-trial seed
+  /// streams and merge in trial order), so this is not part of the
+  /// deployment's identity — serialization ignores it.
   int max_workers = 0;
   /// Adaptive engine (DESIGN.md §12); disabled by default, in which case
   /// exactly `trials` tests run and results are bit-identical to a

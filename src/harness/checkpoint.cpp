@@ -8,14 +8,13 @@
 #include "fsefi/fault_context.hpp"
 #include "simmpi/comm.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/options.hpp"
 
 namespace resilience::harness {
 
 namespace {
 
-// -1 = follow the environment, 0 = forced off, 1 = forced on.
-std::atomic<int> g_checkpoint_override{-1};
+// The reference toggle: false runs every trial in full from its start.
+std::atomic<bool> g_checkpoint_enabled{true};
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -28,19 +27,11 @@ inline std::uint64_t mix(std::uint64_t h, std::uint64_t word) noexcept {
 }  // namespace
 
 bool checkpoint_enabled() noexcept {
-  const int forced = g_checkpoint_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool from_options = util::RuntimeOptions::global().checkpoint;
-  return from_options;
+  return g_checkpoint_enabled.load(std::memory_order_relaxed);
 }
 
 void set_checkpoint_enabled(bool enabled) noexcept {
-  g_checkpoint_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-std::size_t checkpoint_budget() {
-  const std::size_t budget = util::RuntimeOptions::global().checkpoint_budget;
-  return budget == 0 ? 1 : budget;
+  g_checkpoint_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 std::uint64_t digest_views(std::span<const apps::StateView> views) noexcept {

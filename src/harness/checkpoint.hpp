@@ -18,9 +18,9 @@
 //     tail would replay the golden run exactly; the trial terminates and
 //     the runner synthesizes its observable outputs from the golden data.
 //
-// Default-on behind RESILIENCE_CHECKPOINT=0 / set_checkpoint_enabled(false)
-// kill switches; the differential suite asserts campaign results are
-// bit-identical either way.
+// Always on in production. set_checkpoint_enabled(false) is the reference
+// toggle the differential suite (test_checkpoint_diff.cpp) runs against:
+// campaign results are bit-identical either way.
 #pragma once
 
 #include <cstddef>
@@ -36,18 +36,18 @@
 namespace resilience::harness {
 
 /// Whether trials use captured checkpoints (fast-forward + early exit;
-/// default yes). RESILIENCE_CHECKPOINT=0 disables; set_checkpoint_enabled()
-/// forces it per process (tests and benches). Golden captures themselves
-/// are unconditional: their boundary metadata doubles as the
-/// ResidentState scenario's sample space, which must not change shape
-/// with this knob.
+/// default yes). set_checkpoint_enabled(false) turns the fast path off
+/// process-wide for the differential tests and the overhead bench. Golden
+/// captures themselves are unconditional: their boundary metadata doubles
+/// as the ResidentState scenario's sample space, which must not change
+/// shape with this toggle.
 [[nodiscard]] bool checkpoint_enabled() noexcept;
 void set_checkpoint_enabled(bool enabled) noexcept;
 
-/// Maximum boundaries whose full rank state a golden capture stores
-/// (RESILIENCE_CHECKPOINT_BUDGET, default 8, minimum 1). Digests and op
-/// profiles are kept at every boundary regardless.
-[[nodiscard]] std::size_t checkpoint_budget();
+/// Maximum boundaries whose full rank state a golden capture stores.
+/// Digests and op profiles are kept at every boundary regardless. The
+/// golden store records it in every file header (golden_store.cpp).
+inline constexpr std::size_t kCheckpointBudget = 8;
 
 // ---- state digest / serialization -----------------------------------------
 

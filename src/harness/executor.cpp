@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/options.hpp"
-
 namespace resilience::harness {
 
 namespace {
@@ -15,8 +13,6 @@ thread_local bool tl_in_worker = false;
 
 int Executor::resolve_workers(int requested) noexcept {
   if (requested > 0) return requested;
-  const int configured = util::RuntimeOptions::global().threads;
-  if (configured > 0) return configured;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -49,8 +49,7 @@ class Executor {
   /// tasks of the batch finished.
   void run(std::vector<Task> tasks);
 
-  /// Effective worker count: `requested` if > 0, else the
-  /// RESILIENCE_THREADS environment variable if set, else
+  /// Effective worker count: `requested` if > 0, else
   /// std::thread::hardware_concurrency() (1 if unknown).
   static int resolve_workers(int requested) noexcept;
 

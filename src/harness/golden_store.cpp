@@ -117,11 +117,11 @@ std::vector<std::byte> encode_golden_v2(const std::string& label, int nranks,
   w.u32(nsections);
   w.u32(static_cast<std::uint32_t>(nranks));
   // Captures are unconditional now; the flag survives so files written by
-  // older binaries under RESILIENCE_CHECKPOINT=0 (flag 0, no capture
+  // older binaries with checkpointing switched off (flag 0, no capture
   // data) read as misses and get refilled. An app without boundary hooks
   // still writes flag 1 with no checkpoint section.
   w.u32(1u);
-  w.u64(checkpoint_budget());
+  w.u64(kCheckpointBudget);
   w.u32(0);  // header CRC, patched below
   const std::size_t table_off = w.size();
   for (std::uint32_t i = 0; i < nsections; ++i) {
@@ -259,12 +259,13 @@ std::shared_ptr<const GoldenRun> decode_golden_v2(
     throw util::BinError("golden store: app label mismatch");
   }
 
-  // A file captured under RESILIENCE_CHECKPOINT=0 (flag 0: written before
-  // captures became unconditional) or under another budget is valid but
-  // not what this process would have profiled: the fast-forward path and
-  // the resident-state sample space would diverge from a fresh run. Miss
-  // without unlinking — a fill renames over it.
-  if (!file_ckpt || file_budget != checkpoint_budget()) {
+  // A file captured with checkpointing off (flag 0: written before
+  // captures became unconditional) or by an older binary configured with
+  // another budget is valid but not what this process would have
+  // profiled: the fast-forward path and the resident-state sample space
+  // would diverge from a fresh run. Miss without unlinking — a fill
+  // renames over it.
+  if (!file_ckpt || file_budget != kCheckpointBudget) {
     return nullptr;
   }
 

@@ -204,7 +204,7 @@ GoldenRun profile_app(const apps::App& app, int nranks,
   RunOptions opts;
   CheckpointCapture capture;
   if (capture_checkpoints) {
-    capture.budget = checkpoint_budget();
+    capture.budget = kCheckpointBudget;
     opts.capture = &capture;
   }
   RunOutput out = run_app_once(app, nranks, /*plans=*/{}, opts);

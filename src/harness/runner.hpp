@@ -102,10 +102,10 @@ struct GoldenRun {
 
 /// Run the fault-free pre-pass; throws std::runtime_error if the golden
 /// run itself fails (an app/configuration bug, never an injected fault).
-/// Capture is on by default regardless of the RESILIENCE_CHECKPOINT kill
-/// switch: the switch gates trial *use* (fast-forward + early exit), but
-/// the boundary metadata a capture records is also the ResidentState
-/// scenario's sample space, which must not change shape with the knob.
+/// Capture is on by default regardless of checkpoint_enabled(): that
+/// toggle gates trial *use* (fast-forward + early exit), but the boundary
+/// metadata a capture records is also the ResidentState scenario's sample
+/// space, which must not change shape with the toggle.
 GoldenRun profile_app(const apps::App& app, int nranks,
                       bool capture_checkpoints = true);
 

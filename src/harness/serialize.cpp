@@ -287,32 +287,4 @@ CampaignResult load_campaign(const std::string& path) {
   return campaign_from_json(util::Json::parse(buffer.str()));
 }
 
-CampaignResult merge_campaigns(const CampaignResult& a,
-                               const CampaignResult& b) {
-  const auto& ca = a.config;
-  const auto& cb = b.config;
-  if (ca.nranks != cb.nranks || ca.errors_per_test != cb.errors_per_test ||
-      ca.scenario != cb.scenario || ca.selection != cb.selection) {
-    throw simmpi::UsageError(
-        "merge_campaigns: deployments have different shapes");
-  }
-  if (a.golden.signature != b.golden.signature) {
-    throw simmpi::UsageError(
-        "merge_campaigns: golden signatures differ (different app or input)");
-  }
-  CampaignResult merged = a;
-  merged.config.trials = ca.trials + cb.trials;
-  merged.overall.merge(b.overall);
-  for (std::size_t i = 0; i < merged.contamination_hist.size(); ++i) {
-    merged.contamination_hist[i] += b.contamination_hist[i];
-    merged.by_contamination[i].merge(b.by_contamination[i]);
-  }
-  merged.wall_seconds += b.wall_seconds;
-  // A merge is no longer one adaptive run: the inputs' stopping decisions
-  // and per-stratum allocations do not compose, so the merged campaign
-  // reports plain pooled counts (its rates remain exact).
-  merged.adaptive.reset();
-  return merged;
-}
-
 }  // namespace resilience::harness

@@ -25,13 +25,4 @@ void save_campaign(const std::string& path, const CampaignResult& result);
 /// and util::JsonError on malformed content.
 CampaignResult load_campaign(const std::string& path);
 
-/// Merge two campaigns of the same deployment shape (same app config is
-/// the caller's responsibility; same nranks/errors/filters are checked)
-/// into one with pooled statistics — the incremental-collection workflow:
-/// run 400 tests today under seed A, 400 tomorrow under seed B, analyze
-/// 800. The goldens must match bit-for-bit (same app + scale guarantee
-/// this); wall time adds. Throws simmpi::UsageError on mismatch.
-CampaignResult merge_campaigns(const CampaignResult& a,
-                               const CampaignResult& b);
-
 }  // namespace resilience::harness

@@ -5,15 +5,15 @@
 // pulls in every layer an application or study driver needs — the
 // simulated-MPI runtime, the fault injector, the built-in benchmarks and
 // integration kernels, the campaign harness, the modeling pipeline, and
-// the telemetry/options subsystems. Deep includes ("core/study.hpp")
-// remain valid for consumers that want a narrower dependency surface;
-// this header is the recommended entry point for examples and external
-// tools.
+// the telemetry subsystem. Configuration is plain structs
+// (DeploymentConfig, StudyConfig): the library reads no environment.
+// Deep includes ("core/study.hpp") remain valid for consumers that want a
+// narrower dependency surface; this header is the recommended entry point
+// for examples and external tools.
 #pragma once
 
-// util: RNG streams, statistics, tables, JSON, runtime options.
+// util: RNG streams, statistics, tables, JSON.
 #include "util/json.hpp"
-#include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -28,7 +28,6 @@
 #include "shard/protocol.hpp"
 #include "telemetry/sinks.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/options.hpp"
 
 namespace resilience::shard {
 
@@ -397,15 +396,6 @@ class Coordinator {
 };
 
 }  // namespace
-
-ShardOptions ShardOptions::from_runtime() {
-  const auto& opt = util::RuntimeOptions::global();
-  ShardOptions s;
-  s.shards = opt.shards;
-  s.golden_store_dir = opt.golden_store;
-  s.debug_kill_unit = opt.shard_kill_unit;
-  return s;
-}
 
 harness::CampaignResult run_sharded_campaign(
     const apps::App& app, const harness::DeploymentConfig& cfg,

@@ -42,14 +42,9 @@ struct ShardOptions {
   /// Replacement workers spawned over the campaign before giving up and
   /// failing the run.
   int max_worker_restarts = 8;
-  /// Testing hook (RESILIENCE_SHARD_KILL): worker 0's first incarnation
-  /// SIGKILLs itself after completing this many units, exercising the
-  /// recovery path. -1 = off.
+  /// Testing hook: worker 0's first incarnation SIGKILLs itself after
+  /// completing this many units, exercising the recovery path. -1 = off.
   int debug_kill_unit = -1;
-
-  /// Resolve from RESILIENCE_SHARDS / RESILIENCE_GOLDEN_STORE /
-  /// RESILIENCE_SHARD_KILL (util::RuntimeOptions).
-  static ShardOptions from_runtime();
 };
 
 /// Execute the campaign across `opts.shards` worker processes. Blocking;

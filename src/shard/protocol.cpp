@@ -10,7 +10,6 @@
 
 #include "telemetry/sinks.hpp"
 #include "util/binio.hpp"
-#include "util/options.hpp"
 
 namespace resilience::shard {
 
@@ -18,15 +17,6 @@ namespace {
 
 constexpr char kHandshakeMagic[4] = {'R', 'S', 'W', 'H'};
 constexpr std::size_t kHandshakeSize = 8;  // magic + u32 version
-
-/// Backstop against a corrupted length prefix (a stray write into the
-/// pipe): no legitimate frame approaches the default. RESILIENCE_FRAME_CAP_MB
-/// raises it for apps with outsized payloads.
-std::uint64_t frame_cap_bytes() {
-  return static_cast<std::uint64_t>(
-             util::RuntimeOptions::global().frame_cap_mb)
-         << 20;
-}
 
 void write_all(int fd, const void* data, std::size_t size) {
   const char* p = static_cast<const char*>(data);
@@ -286,12 +276,11 @@ Message decode_message(std::span<const std::byte> payload) {
 
 void write_frame_bytes(int fd, std::span<const std::byte> payload,
                        const std::string& context) {
-  const std::uint64_t cap = frame_cap_bytes();
-  if (payload.size() > cap) {
+  if (payload.size() > kFrameCapBytes) {
     throw std::runtime_error(
         "shard: " + context + " is " + std::to_string(payload.size()) +
-        " bytes, over the " + std::to_string(cap) +
-        "-byte frame cap (RESILIENCE_FRAME_CAP_MB)");
+        " bytes, over the " + std::to_string(kFrameCapBytes) +
+        "-byte frame cap");
   }
   const auto len = static_cast<std::uint32_t>(payload.size());
   std::uint8_t prefix[4] = {
@@ -311,11 +300,11 @@ std::optional<std::vector<std::byte>> read_frame_bytes(int fd) {
                             (static_cast<std::uint32_t>(prefix[1]) << 8) |
                             (static_cast<std::uint32_t>(prefix[2]) << 16) |
                             (static_cast<std::uint32_t>(prefix[3]) << 24);
-  if (len > frame_cap_bytes()) {
+  if (len > kFrameCapBytes) {
     throw std::runtime_error(
         "shard: incoming frame of " + std::to_string(len) +
-        " bytes exceeds the " + std::to_string(frame_cap_bytes()) +
-        "-byte frame cap (corrupt prefix? raise RESILIENCE_FRAME_CAP_MB)");
+        " bytes exceeds the " + std::to_string(kFrameCapBytes) +
+        "-byte frame cap (corrupt length prefix?)");
   }
   std::vector<std::byte> payload(len);
   if (len > 0 && !read_all(fd, payload.data(), len)) {

@@ -19,9 +19,9 @@
 //     ResultMsg   {id, outcomes, wall_seconds, metrics}
 //     ErrorMsg    {message}            — before exiting on a failure
 //
-// Frames are capped at RESILIENCE_FRAME_CAP_MB (backstop against a
+// Frames are capped at kFrameCapBytes (256 MiB, a backstop against a
 // corrupted length prefix); oversize errors name the frame kind, unit id,
-// and byte count on the write side, and the configured cap on both.
+// and byte count on the write side, and the cap on both.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +57,10 @@ enum class WireFormat : std::uint8_t { Binary = 1 };
 }
 
 // ---- raw frames ------------------------------------------------------------
+
+/// Largest frame payload either side writes or accepts. No legitimate
+/// frame approaches it; a length prefix above it is corrupt.
+inline constexpr std::uint64_t kFrameCapBytes = std::uint64_t{256} << 20;
 
 /// Write one frame; throws std::runtime_error on a short write, a closed
 /// peer (EPIPE arrives as an error, not a signal — callers ignore

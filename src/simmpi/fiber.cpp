@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <new>
-#include <unordered_map>
 #include <vector>
 
 #if defined(RESILIENCE_TSAN_FIBERS)
@@ -34,9 +33,12 @@ std::size_t page_size() noexcept {
   return size;
 }
 
-/// Process-wide freelist of idle stack mappings keyed by total size.
-/// Campaigns churn one fiber per rank per job; recycling mappings keeps
-/// that churn off the mmap path (and keeps the pages warm).
+/// Bytes of one stack mapping: the guard page plus the usable stack.
+std::size_t mapping_bytes() noexcept { return page_size() + kFiberStackBytes; }
+
+/// Process-wide freelist of idle stack mappings. Campaigns churn one
+/// fiber per rank per job; recycling mappings keeps that churn off the
+/// mmap path (and keeps the pages warm).
 class StackPool {
  public:
   static StackPool& instance() {
@@ -44,56 +46,46 @@ class StackPool {
     return *pool;
   }
 
-  void* get(std::size_t bytes) {
+  void* get() {
     {
       std::lock_guard lock(mu_);
-      auto it = idle_.find(bytes);
-      if (it != idle_.end() && !it->second.empty()) {
-        void* mapping = it->second.back();
-        it->second.pop_back();
+      if (!idle_.empty()) {
+        void* mapping = idle_.back();
+        idle_.pop_back();
         return mapping;
       }
     }
-    void* mapping = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                           MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    void* mapping =
+        ::mmap(nullptr, mapping_bytes(), PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
     if (mapping == MAP_FAILED) throw std::bad_alloc();
     // Guard page at the low end: stacks grow down on every platform this
     // runs on, so an overflow hits PROT_NONE instead of a neighbour.
     if (::mprotect(mapping, page_size(), PROT_NONE) != 0) {
-      ::munmap(mapping, bytes);
+      ::munmap(mapping, mapping_bytes());
       throw std::bad_alloc();
     }
     return mapping;
   }
 
-  void put(void* mapping, std::size_t bytes) noexcept {
+  void put(void* mapping) noexcept {
     {
       std::lock_guard lock(mu_);
-      auto& list = idle_[bytes];
-      if (list.size() < kMaxIdlePerSize) {
-        list.push_back(mapping);
+      if (idle_.size() < kMaxIdle) {
+        idle_.push_back(mapping);
         return;
       }
     }
-    ::munmap(mapping, bytes);
-  }
-
-  void clear() {
-    std::lock_guard lock(mu_);
-    for (auto& [bytes, list] : idle_) {
-      for (void* mapping : list) ::munmap(mapping, bytes);
-      list.clear();
-    }
+    ::munmap(mapping, mapping_bytes());
   }
 
  private:
-  /// Bounds resident idle mappings: a 1024-rank job at the default stack
-  /// size parks ~256 MiB of (mostly untouched) address space, which this
-  /// cap keeps from compounding across widths.
-  static constexpr std::size_t kMaxIdlePerSize = 2048;
+  /// Bounds resident idle mappings: a 1024-rank job parks ~256 MiB of
+  /// (mostly untouched) address space.
+  static constexpr std::size_t kMaxIdle = 2048;
 
   std::mutex mu_;
-  std::unordered_map<std::size_t, std::vector<void*>> idle_;
+  std::vector<void*> idle_;
 };
 
 /// Where a switched-out fiber returns to: the resuming scheduler loop
@@ -106,26 +98,17 @@ thread_local void* tl_worker_tsan_fiber = nullptr;
 
 }  // namespace
 
-std::size_t usable_stack_bytes(std::size_t requested) {
-  const std::size_t page = page_size();
-  const std::size_t floor = 4 * page;
-  const std::size_t bytes = requested < floor ? floor : requested;
-  return (bytes + page - 1) / page * page;
-}
-
-FiberContext::FiberContext(std::size_t stack_bytes, Entry entry, void* arg)
+FiberContext::FiberContext(Entry entry, void* arg)
     : entry_(entry), arg_(arg) {
-  const std::size_t usable = usable_stack_bytes(stack_bytes);
-  mapping_bytes_ = usable + page_size();
-  mapping_ = StackPool::instance().get(mapping_bytes_);
+  mapping_ = StackPool::instance().get();
   if (::getcontext(&context_) != 0) {
-    StackPool::instance().put(mapping_, mapping_bytes_);
+    StackPool::instance().put(mapping_);
     mapping_ = nullptr;
     throw std::bad_alloc();
   }
   context_.uc_stack.ss_sp =
       static_cast<std::byte*>(mapping_) + page_size();
-  context_.uc_stack.ss_size = usable;
+  context_.uc_stack.ss_size = kFiberStackBytes;
   context_.uc_link = nullptr;  // the entry must switch_out, never fall off
   // makecontext only passes ints; split the pointer across two of them.
   // Widen to 64 bits first: on a 32-bit target `uintptr_t >> 32` would
@@ -144,9 +127,7 @@ FiberContext::~FiberContext() {
 #if defined(RESILIENCE_TSAN_FIBERS)
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
-  if (mapping_ != nullptr) {
-    StackPool::instance().put(mapping_, mapping_bytes_);
-  }
+  if (mapping_ != nullptr) StackPool::instance().put(mapping_);
 }
 
 void FiberContext::trampoline(unsigned hi, unsigned lo) {
@@ -212,7 +193,5 @@ void FiberContext::switch_out() {
                                   &asan_return_size_);
 #endif
 }
-
-void FiberContext::clear_stack_pool() { StackPool::instance().clear(); }
 
 }  // namespace resilience::simmpi::detail

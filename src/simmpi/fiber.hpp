@@ -10,8 +10,8 @@
 // page below it, so an overflow faults instead of silently corrupting a
 // neighbour. Campaigns create and destroy thousands of fibers (one per
 // rank per job), so mappings are recycled through a process-wide freelist
-// keyed by size — steady-state jobs pay no mmap/munmap at all. Size comes
-// from RESILIENCE_FIBER_STACK_KB (resolved by the scheduler).
+// — steady-state jobs pay no mmap/munmap at all. Every stack is
+// kFiberStackBytes.
 //
 // ThreadSanitizer: tsan models each fiber as a logical thread. Every
 // context switch is announced via __tsan_switch_to_fiber immediately
@@ -48,8 +48,10 @@
 
 namespace resilience::simmpi::detail {
 
-/// Round a requested stack size up to whole pages, with a sane floor.
-[[nodiscard]] std::size_t usable_stack_bytes(std::size_t requested);
+/// Usable stack of every fiber (256 KiB; a whole number of pages on every
+/// page size in use). App ranks carry only solver state; deep
+/// allocations live in heap-backed vectors.
+inline constexpr std::size_t kFiberStackBytes = 256 * 1024;
 
 /// One resumable execution context on an owned stack.
 class FiberContext {
@@ -59,7 +61,7 @@ class FiberContext {
   /// Acquires a stack (pooled) and prepares `entry(arg)` to run on it at
   /// the first switch_in(). `entry` must finish with a final switch_out()
   /// and never return.
-  FiberContext(std::size_t stack_bytes, Entry entry, void* arg);
+  FiberContext(Entry entry, void* arg);
   ~FiberContext();
 
   FiberContext(const FiberContext&) = delete;
@@ -73,16 +75,12 @@ class FiberContext {
   /// Transfer from inside the fiber back to the loop that resumed it.
   void switch_out();
 
-  /// Drop every pooled idle stack mapping (tests / memory pressure).
-  static void clear_stack_pool();
-
  private:
   static void trampoline(unsigned hi, unsigned lo);
 
   Entry entry_;
   void* arg_;
-  void* mapping_ = nullptr;      ///< guard page + stack
-  std::size_t mapping_bytes_ = 0;
+  void* mapping_ = nullptr;  ///< guard page + stack
   ucontext_t context_{};
 #if defined(RESILIENCE_TSAN_FIBERS)
   void* tsan_fiber_ = nullptr;

@@ -1,39 +1,11 @@
 #include "simmpi/runtime.hpp"
 
-#include <atomic>
 #include <exception>
 
 #include "simmpi/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/options.hpp"
 
 namespace resilience::simmpi {
-
-namespace detail {
-namespace {
-
-// Programmatic override: 0 = follow RuntimeOptions. The options value is
-// latched on first use (same latching caveat as every set_*_enabled
-// pattern in this repo — documented in util/options.hpp).
-std::atomic<std::size_t> g_stack_kb_override{0};
-
-}  // namespace
-
-std::size_t resolved_fiber_stack_bytes() noexcept {
-  std::size_t kb = g_stack_kb_override.load(std::memory_order_relaxed);
-  if (kb == 0) {
-    static const std::size_t from_options =
-        util::RuntimeOptions::global().fiber_stack_kb;
-    kb = from_options;
-  }
-  return kb * 1024;
-}
-
-void set_fiber_stack_kb(std::size_t kb) noexcept {
-  g_stack_kb_override.store(kb, std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 RunResult Runtime::run(int nranks, const std::function<void(Comm&)>& body,
                        const RunOptions& options) {
@@ -84,7 +56,7 @@ RunResult Runtime::run(int nranks, const std::function<void(Comm&)>& body,
     // and serial campaigns are cheap.
     rank_main(0);
   } else {
-    FiberScheduler sched(nranks, detail::resolved_fiber_stack_bytes());
+    FiberScheduler sched(nranks);
     job.attach_scheduler(&sched);
     sched.start(rank_main);
     sched.run();

@@ -27,11 +27,6 @@ namespace detail {
 /// end-to-end benchmark's host stamp reads it.
 [[nodiscard]] inline int resolved_scheduler_workers(int) noexcept { return 1; }
 
-/// Fiber stack size from RESILIENCE_FIBER_STACK_KB, unless overridden.
-[[nodiscard]] std::size_t resolved_fiber_stack_bytes() noexcept;
-/// Override the fiber stack size (0 = back to options).
-void set_fiber_stack_kb(std::size_t kb) noexcept;
-
 }  // namespace detail
 
 struct RunOptions {

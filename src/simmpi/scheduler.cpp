@@ -21,10 +21,8 @@ thread_local detail::Fiber* tl_current_fiber = nullptr;
 
 namespace detail {
 
-Fiber::Fiber(FiberScheduler* scheduler, int rank, std::size_t stack_bytes)
-    : scheduler_(scheduler),
-      rank_(rank),
-      context_(stack_bytes, &Fiber::entry_thunk, this) {}
+Fiber::Fiber(FiberScheduler* scheduler, int rank)
+    : scheduler_(scheduler), rank_(rank), context_(&Fiber::entry_thunk, this) {}
 
 void Fiber::entry_thunk(void* arg) {
   auto* fiber = static_cast<Fiber*>(arg);
@@ -33,8 +31,7 @@ void Fiber::entry_thunk(void* arg) {
 
 }  // namespace detail
 
-FiberScheduler::FiberScheduler(int nranks, std::size_t stack_bytes)
-    : nranks_(nranks), stack_bytes_(stack_bytes) {}
+FiberScheduler::FiberScheduler(int nranks) : nranks_(nranks) {}
 
 FiberScheduler::~FiberScheduler() = default;
 
@@ -42,8 +39,7 @@ void FiberScheduler::start(const std::function<void(int rank)>& body) {
   body_ = body;
   fibers_.reserve(static_cast<std::size_t>(nranks_));
   for (int rank = 0; rank < nranks_; ++rank) {
-    fibers_.push_back(
-        std::make_unique<detail::Fiber>(this, rank, stack_bytes_));
+    fibers_.push_back(std::make_unique<detail::Fiber>(this, rank));
     run_queue_.push_back(fibers_.back().get());
   }
 }

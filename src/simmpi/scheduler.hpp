@@ -52,7 +52,7 @@ namespace detail {
 /// One rank's resumable execution context plus its scheduler state.
 class Fiber {
  public:
-  Fiber(FiberScheduler* scheduler, int rank, std::size_t stack_bytes);
+  Fiber(FiberScheduler* scheduler, int rank);
 
  private:
   friend class ::resilience::simmpi::FiberScheduler;
@@ -72,8 +72,8 @@ class Fiber {
 
 class FiberScheduler {
  public:
-  /// Prepares a scheduler for `nranks` fibers with `stack_bytes` stacks.
-  FiberScheduler(int nranks, std::size_t stack_bytes);
+  /// Prepares a scheduler for `nranks` fibers.
+  explicit FiberScheduler(int nranks);
   ~FiberScheduler();
 
   FiberScheduler(const FiberScheduler&) = delete;
@@ -122,7 +122,6 @@ class FiberScheduler {
   void resume(detail::Fiber* fiber);
 
   const int nranks_;
-  const std::size_t stack_bytes_;
   std::function<void(int)> body_;
   std::deque<detail::Fiber*> run_queue_;
   std::vector<std::unique_ptr<detail::Fiber>> fibers_;

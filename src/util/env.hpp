@@ -1,13 +1,15 @@
-// Environment-variable configuration used to scale campaign sizes.
+// Environment-variable configuration used to scale bench campaign sizes.
 //
 // The paper runs 4000 fault-injection tests per deployment on a cluster;
 // the bench binaries default to smaller counts so the whole suite finishes
-// on one workstation, and these helpers let the user restore paper-scale
-// counts (e.g. RESILIENCE_TRIALS=4000) without rebuilding.
+// on one workstation, and RESILIENCE_TRIALS / RESILIENCE_SEED let the user
+// restore paper-scale counts (e.g. RESILIENCE_TRIALS=4000) without
+// rebuilding. These are the only environment variables the project reads:
+// the library and the CLI take every other setting from code or flags.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace resilience::util {
 
@@ -16,18 +18,6 @@ namespace resilience::util {
 /// silently defaulting); values below `min_value` warn and clamp.
 std::int64_t env_int(const char* name, std::int64_t fallback,
                      std::int64_t min_value = 1);
-
-/// Read a boolean ("0"/"1") environment variable; returns `fallback` when
-/// unset. Anything other than 0 or 1 warns on stderr and falls back.
-bool env_flag(const char* name, bool fallback);
-
-/// Read a floating-point environment variable; returns `fallback` when
-/// unset. Non-numeric values warn on stderr and fall back; values below
-/// `min_value` warn and clamp.
-double env_double(const char* name, double fallback, double min_value = 0.0);
-
-/// Read a string environment variable; returns `fallback` when unset.
-std::string env_str(const char* name, const std::string& fallback);
 
 /// Campaign-size knobs shared by the bench harnesses.
 struct BenchConfig {

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/options.hpp"
-
 namespace resilience::harness {
 namespace {
 
@@ -109,19 +107,13 @@ TEST(Executor, ConcurrentBatchesShareThePool) {
 }
 
 TEST(Executor, ResolveWorkersPrecedence) {
-  // RuntimeOptions::global() latches the environment on first use, so
-  // the knob is injected directly; setenv here would depend on whether an
-  // earlier test in this process had already latched it.
-  auto opts = util::RuntimeOptions::from_env();
-  opts.threads = 5;
-  util::RuntimeOptions::set_global(opts);
+  // An explicit count wins; 0 (or less) means hardware concurrency.
   EXPECT_EQ(Executor::resolve_workers(3), 3);
-  EXPECT_EQ(Executor::resolve_workers(0), 5);
-  EXPECT_EQ(Executor::resolve_workers(2), 2);  // explicit beats the knob
-  opts.threads = 0;
-  util::RuntimeOptions::set_global(opts);
-  EXPECT_GE(Executor::resolve_workers(0), 1);
-  util::RuntimeOptions::reset_global();
+  EXPECT_EQ(Executor::resolve_workers(2), 2);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int expected = hw == 0 ? 1 : static_cast<int>(hw);
+  EXPECT_EQ(Executor::resolve_workers(0), expected);
+  EXPECT_EQ(Executor::resolve_workers(-1), expected);
 }
 
 }  // namespace

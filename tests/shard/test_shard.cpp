@@ -5,6 +5,7 @@
 // This binary has a custom main: the coordinator re-execs the test binary
 // itself as its worker processes (--shard-worker=<fd>), so main must
 // route to the worker loop before gtest ever sees argv.
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -28,7 +29,6 @@
 #include "shard/worker.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/binio.hpp"
-#include "util/options.hpp"
 
 namespace {
 
@@ -323,28 +323,37 @@ TEST(ShardWorker, Version4HandshakeFailsWithTheProtocolVersionError) {
   ::close(sv[1]);
 }
 
-// The frame cap is a knob, and the oversize error names the frame kind,
-// unit id, and byte count — enough to tell a corrupt length prefix from a
-// genuinely huge unit.
+// The oversize error names the frame kind, unit id, and byte count —
+// enough to tell a corrupt length prefix from a genuinely huge unit.
 TEST(ShardWire, FrameCapErrorNamesFrameKindUnitAndByteCount) {
-  auto opts = util::RuntimeOptions::from_env();
-  opts.frame_cap_mb = 1;
-  util::RuntimeOptions::set_global(opts);
-
-  shard::UnitMsg unit;
-  unit.id = 77;
-  unit.refs.resize(100'000);  // >1 MiB of refs
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const std::string cap = std::to_string(shard::kFrameCapBytes);
+
+  // Write side: a payload one byte over the cap. The mapping is reserved
+  // but never touched, so the check costs no memory; nothing is written
+  // to the socket.
+  const std::size_t oversize = shard::kFrameCapBytes + 1;
+  void* mapping = ::mmap(nullptr, oversize, PROT_READ,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(mapping, MAP_FAILED);
   try {
-    shard::write_message(sv[0], shard::Message(unit));
-    FAIL() << "oversize frame not rejected";
+    shard::write_frame_bytes(
+        sv[0],
+        std::span<const std::byte>(static_cast<const std::byte*>(mapping),
+                                   oversize),
+        "\"unit\" frame for unit 77");
+    ADD_FAILURE() << "oversize frame not rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("unit 77"), std::string::npos) << what;
-    EXPECT_NE(what.find("bytes"), std::string::npos) << what;
-    EXPECT_NE(what.find("RESILIENCE_FRAME_CAP_MB"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"unit\" frame for unit 77"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(oversize) + " bytes"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(cap + "-byte frame cap"), std::string::npos) << what;
   }
+  ::munmap(mapping, oversize);
 
   // Read side: a corrupt length prefix over the cap throws before any
   // allocation, naming the cap.
@@ -356,11 +365,10 @@ TEST(ShardWire, FrameCapErrorNamesFrameKindUnitAndByteCount) {
     FAIL() << "oversize prefix not rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("RESILIENCE_FRAME_CAP_MB"), std::string::npos) << what;
+    EXPECT_NE(what.find(cap + "-byte frame cap"), std::string::npos) << what;
   }
   ::close(sv[0]);
   ::close(sv[1]);
-  util::RuntimeOptions::reset_global();
 }
 
 TEST(ShardCampaign, FixedShardedMatchesInProcess) {

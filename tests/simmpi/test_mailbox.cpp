@@ -21,7 +21,7 @@ Envelope make_envelope(int source, int tag, std::size_t bytes = 8) {
 /// `box` parking its receives on it. The receiver starts first.
 void run_pair(Mailbox& box, const std::function<void()>& receiver,
               const std::function<void(FiberScheduler&)>& sender) {
-  FiberScheduler sched(2, 64 * 1024);
+  FiberScheduler sched(2);
   box.set_scheduler(&sched);
   sched.start([&](int rank) { rank == 0 ? receiver() : sender(sched); });
   sched.run();

@@ -23,10 +23,7 @@ using std::chrono::steady_clock;
 class SchedulerModes : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override { detail::set_fused_collectives_enabled(GetParam()); }
-  void TearDown() override {
-    detail::set_fused_collectives_enabled(true);
-    detail::set_fiber_stack_kb(0);
-  }
+  void TearDown() override { detail::set_fused_collectives_enabled(true); }
 };
 
 std::string mode_name(const ::testing::TestParamInfo<bool>& param) {
@@ -111,7 +108,7 @@ TEST(FusedGroup, StaleEpochArrivalIsRejectedBeforeRecordingState) {
   // arrival would pin current_epoch_ to the stale value and misreport
   // the divergence at a healthy rank's next collective.
   detail::FusedGroup group;
-  FiberScheduler sched(0, 64 * 1024);
+  FiberScheduler sched(0);
   const detail::Arrival arrival;
   EXPECT_EQ(group.arrive(0, 1, arrival, 2),
             detail::FusedGroup::ArriveOutcome::Waiter);
@@ -198,18 +195,6 @@ TEST(FiberScheduler, WorkerCountDoesNotChangeResults) {
       EXPECT_EQ(out, baseline) << workers << " concurrent jobs";
     }
   }
-}
-
-TEST(FiberScheduler, TinyStacksStillRunLeafWork) {
-  // The configured floor (16 KiB) plus guard page must be enough for a
-  // rank that only does transport calls — the scheduler's own frames and
-  // the mailbox path must not assume a deep stack.
-  detail::set_fiber_stack_kb(16);
-  const auto result = Runtime::run(4, [](Comm& comm) {
-    EXPECT_EQ(comm.allreduce_value(1), 4);
-  });
-  EXPECT_TRUE(result.ok) << result.error;
-  detail::set_fiber_stack_kb(0);
 }
 
 }  // namespace

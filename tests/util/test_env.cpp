@@ -57,35 +57,6 @@ TEST(EnvInt, ClampsToMinimum) {
   ::unsetenv("RESILIENCE_TEST_MIN");
 }
 
-TEST(EnvFlag, ParsesZeroAndOne) {
-  ::unsetenv("RESILIENCE_TEST_FLAG");
-  EXPECT_TRUE(env_flag("RESILIENCE_TEST_FLAG", true));
-  EXPECT_FALSE(env_flag("RESILIENCE_TEST_FLAG", false));
-  ::setenv("RESILIENCE_TEST_FLAG", "0", 1);
-  EXPECT_FALSE(env_flag("RESILIENCE_TEST_FLAG", true));
-  ::setenv("RESILIENCE_TEST_FLAG", "1", 1);
-  EXPECT_TRUE(env_flag("RESILIENCE_TEST_FLAG", false));
-  ::unsetenv("RESILIENCE_TEST_FLAG");
-}
-
-TEST(EnvFlag, WarnsOnInvalidValue) {
-  ::setenv("RESILIENCE_TEST_FLAG", "yes", 1);
-  ::testing::internal::CaptureStderr();
-  EXPECT_TRUE(env_flag("RESILIENCE_TEST_FLAG", true));
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("warning"), std::string::npos);
-  EXPECT_NE(err.find("expected 0 or 1"), std::string::npos);
-  ::unsetenv("RESILIENCE_TEST_FLAG");
-}
-
-TEST(EnvStr, FallbackAndValue) {
-  ::unsetenv("RESILIENCE_TEST_STR");
-  EXPECT_EQ(env_str("RESILIENCE_TEST_STR", "dflt"), "dflt");
-  ::setenv("RESILIENCE_TEST_STR", "hello", 1);
-  EXPECT_EQ(env_str("RESILIENCE_TEST_STR", "dflt"), "hello");
-  ::unsetenv("RESILIENCE_TEST_STR");
-}
-
 TEST(BenchConfig, ReadsTrialsAndSeed) {
   ::setenv("RESILIENCE_TRIALS", "777", 1);
   ::setenv("RESILIENCE_SEED", "9", 1);

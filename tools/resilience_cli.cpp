@@ -10,9 +10,9 @@
 //       [--region all|common|unique] [--mtbf F]
 //       [--save campaign.json] [--seed N] [--jobs N]
 //       Run one fault-injection deployment and print its result.
-//       --scenario picks a catalog entry (default the RESILIENCE_SCENARIO
-//       env knob, else "paper"); --pattern/--region/--mtbf then override
-//       individual scenario fields.
+//       --scenario picks a catalog entry (default "paper");
+//       --pattern/--region/--mtbf then override individual scenario
+//       fields.
 //   resilience predict --app CG [--small 8] [--large 64] [--trials 400]
 //       [--no-measure] [--ci resamples] [--report out.md] [--seed N]
 //       [--jobs N]
@@ -23,14 +23,13 @@
 //       Profile error propagation across ranks.
 //
 // campaign and propagation also accept multi-process sharding
-// (DESIGN.md §13):
+// (DESIGN.md §13) and a persistent golden store:
 //   --shards N           Execute the campaign's trials across N worker
-//                        processes (0 = in-process; default the
-//                        RESILIENCE_SHARDS env knob). Results are
+//                        processes (default 0 = in-process). Results are
 //                        bit-identical to the in-process run.
-// The golden pre-pass consults the on-disk golden store when
-// RESILIENCE_GOLDEN_STORE names a directory — repeated invocations skip
-// re-profiling (sharded or not).
+//   --golden-store DIR   Keep golden runs (checkpoints included) in DIR:
+//                        repeated invocations skip re-profiling, sharded
+//                        or not.
 //
 // campaign, predict, and propagation also accept the adaptive engine
 // flags (DESIGN.md §12):
@@ -39,8 +38,8 @@
 //                        rate's confidence interval is tight enough.
 //   --ci-half-width W    Absolute CI half-width target (default 0.02);
 //                        implies --trials-auto.
-// Both default to the RESILIENCE_ADAPTIVE* env knobs; stopping points are
-// seed-deterministic (independent of --jobs and scheduler mode).
+// Stopping points are seed-deterministic (independent of --jobs and
+// --shards).
 //
 // campaign, predict, and propagation also accept:
 //   --trace out.jsonl    Write a structured trace of the run (spans for
@@ -51,17 +50,21 @@
 //                        anything else writes JSON Lines.
 //   --metrics out.json   Dump the run's telemetry counters/histograms as
 //                        JSON after the command finishes.
-// Both default to the RESILIENCE_TRACE / RESILIENCE_METRICS env vars.
 // Telemetry is execution-diagnostic only: results are bit-identical with
 // tracing on or off.
 //
-// --jobs sets the campaign executor's worker count (0 = auto: the
-// RESILIENCE_THREADS env var, else hardware concurrency; 1 = serial).
-// Results are bit-identical for every value.
+// --jobs sets the campaign executor's worker count (0 = auto: hardware
+// concurrency; 1 = serial). Results are bit-identical for every value.
+//
+// Flags are the only configuration: no environment variable changes what
+// a command does. Integer flags take a whole non-negative number; a bad
+// value exits 1 with "error: --<flag>: ...".
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -79,7 +82,6 @@
 #include "telemetry/sinks.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
-#include "util/options.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -114,14 +116,35 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
-  [[nodiscard]] long get_int(const std::string& key, long fallback) {
+  /// A count flag: the whole value must be a non-negative integer that
+  /// fits T.
+  template <typename T>
+  [[nodiscard]] T get_count(const std::string& key, T fallback) {
     const std::string raw = get(key, "");
-    return raw.empty() ? fallback : std::stol(raw);
+    if (raw.empty()) return fallback;
+    long long value = 0;
+    const char* last = raw.data() + raw.size();
+    const auto [end, ec] = std::from_chars(raw.data(), last, value);
+    if (ec != std::errc{} || end != last || value < 0 ||
+        static_cast<unsigned long long>(value) >
+            static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+      throw std::invalid_argument("--" + key +
+                                  ": expected a non-negative integer, got \"" +
+                                  raw + "\"");
+    }
+    return static_cast<T>(value);
   }
 
   [[nodiscard]] double get_double(const std::string& key, double fallback) {
     const std::string raw = get(key, "");
-    return raw.empty() ? fallback : std::stod(raw);
+    if (raw.empty()) return fallback;
+    char* end = nullptr;
+    const double value = std::strtod(raw.c_str(), &end);
+    if (end != raw.c_str() + raw.size()) {
+      throw std::invalid_argument("--" + key + ": expected a number, got \"" +
+                                  raw + "\"");
+    }
+    return value;
   }
 
   void check_consumed() const {
@@ -137,16 +160,14 @@ class Args {
   std::set<std::string> consumed_;
 };
 
-/// --trace/--metrics handling shared by the run commands: resolves the
-/// paths (flags override the RESILIENCE_TRACE / RESILIENCE_METRICS env
-/// vars), keeps a process-wide trace session open for the command's
-/// duration, and dumps the final metrics snapshot as JSON.
+/// --trace/--metrics handling shared by the run commands: keeps a
+/// process-wide trace session open for the command's duration, and dumps
+/// the final metrics snapshot as JSON.
 class TelemetryOutputs {
  public:
-  explicit TelemetryOutputs(Args& args) {
-    const auto& opts = util::RuntimeOptions::global();
-    trace_path_ = args.get("trace", opts.trace_path);
-    metrics_path_ = args.get("metrics", opts.metrics_path);
+  explicit TelemetryOutputs(Args& args)
+      : trace_path_(args.get("trace", "")),
+        metrics_path_(args.get("metrics", "")) {
     if (trace_path_.empty()) return;
     std::shared_ptr<telemetry::TraceSink> sink;
     if (trace_path_.ends_with(".json")) {
@@ -190,11 +211,10 @@ class TelemetryOutputs {
   bool tracing_ = false;
 };
 
-/// Adaptive-engine flags layered over the RESILIENCE_ADAPTIVE* env knobs:
-/// --trials-auto switches the engine on, --ci-half-width sets (and, when
-/// given, also switches on) the convergence target.
+/// Adaptive-engine flags: --trials-auto switches the engine on,
+/// --ci-half-width sets (and also switches on) the convergence target.
 harness::AdaptiveConfig parse_adaptive(Args& args) {
-  harness::AdaptiveConfig adaptive = harness::AdaptiveConfig::from_runtime();
+  harness::AdaptiveConfig adaptive;
   if (!args.get("trials-auto", "").empty()) adaptive.enabled = true;
   if (!args.get("ci-half-width", "").empty()) {
     const double half_width = args.get_double("ci-half-width", 0.0);
@@ -238,39 +258,41 @@ fsefi::RegionMask parse_region(const std::string& name) {
 }
 
 /// The deployment flags shared by campaign and propagation.
-/// The scenario resolves in layers: catalog entry (--scenario, else the
-/// RESILIENCE_SCENARIO env knob, else "paper"), then field overrides
-/// (--pattern, --region, --mtbf / RESILIENCE_MTBF).
+/// The scenario resolves in layers: the catalog entry (--scenario, default
+/// "paper"), then field overrides (--pattern, --region, --mtbf).
 harness::DeploymentConfig parse_deployment(Args& args) {
-  const auto& opts = util::RuntimeOptions::global();
   harness::DeploymentConfig dep;
-  dep.nranks = static_cast<int>(args.get_int("ranks", 8));
-  dep.trials = static_cast<std::size_t>(args.get_int("trials", 400));
-  dep.errors_per_test = static_cast<int>(args.get_int("errors", 1));
-  std::string scenario = args.get("scenario", opts.scenario);
-  if (scenario.empty()) scenario = "paper";
-  dep.scenario = fsefi::scenario_by_name(scenario);
+  dep.nranks = args.get_count("ranks", 8);
+  dep.trials = args.get_count<std::size_t>("trials", 400);
+  dep.errors_per_test = args.get_count("errors", 1);
+  dep.scenario = fsefi::scenario_by_name(args.get("scenario", "paper"));
   const std::string pattern = args.get("pattern", "");
   if (!pattern.empty()) dep.scenario.pattern = parse_pattern(pattern);
   const std::string region = args.get("region", "");
   if (!region.empty()) dep.scenario.regions = parse_region(region);
-  const double mtbf = args.get_double("mtbf", opts.mtbf_factor);
+  const double mtbf = args.get_double("mtbf", 0.0);
   if (mtbf > 0.0) dep.scenario.mtbf_factor = mtbf;
-  dep.seed = static_cast<std::uint64_t>(args.get_int("seed", 20180813));
-  dep.max_workers = static_cast<int>(args.get_int("jobs", 0));
+  dep.seed = args.get_count<std::uint64_t>("seed", 20180813);
+  dep.max_workers = args.get_count("jobs", 0);
   dep.adaptive = parse_adaptive(args);
   return dep;
 }
 
-/// Run one campaign honoring the sharding/store knobs: --shards (else
-/// RESILIENCE_SHARDS) > 0 fans the trials out across worker processes;
-/// otherwise in-process, with the golden pre-pass served through the
-/// on-disk store when RESILIENCE_GOLDEN_STORE is set.
+/// The execution flags shared by campaign and propagation: --shards and
+/// --golden-store.
+shard::ShardOptions parse_shard_options(Args& args) {
+  shard::ShardOptions opts;
+  opts.shards = args.get_count("shards", 0);
+  opts.golden_store_dir = args.get("golden-store", "");
+  return opts;
+}
+
+/// Run one campaign: --shards > 0 fans the trials out across worker
+/// processes; otherwise in-process, with the golden pre-pass served
+/// through the on-disk store when --golden-store names one.
 harness::CampaignResult run_configured_campaign(
     const apps::App& app, const harness::DeploymentConfig& dep,
-    long shards_flag) {
-  shard::ShardOptions opts = shard::ShardOptions::from_runtime();
-  if (shards_flag >= 0) opts.shards = static_cast<int>(shards_flag);
+    const shard::ShardOptions& opts) {
   if (opts.shards > 0) return shard::run_sharded_campaign(app, dep, opts);
   if (!opts.golden_store_dir.empty()) {
     harness::GoldenStore store(opts.golden_store_dir);
@@ -327,13 +349,13 @@ int cmd_campaign(Args& args) {
   const auto app = apps::make_app(apps::parse_app_id(args.get("app", "CG")),
                                   args.get("class", ""));
   const harness::DeploymentConfig dep = parse_deployment(args);
-  const long shards_flag = args.get_int("shards", -1);
+  const shard::ShardOptions shard_opts = parse_shard_options(args);
   const std::string save_path = args.get("save", "");
   TelemetryOutputs telemetry_out(args);
   args.check_consumed();
 
   const auto start = std::chrono::steady_clock::now();
-  const auto campaign = run_configured_campaign(*app, dep, shards_flag);
+  const auto campaign = run_configured_campaign(*app, dep, shard_opts);
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
@@ -374,15 +396,15 @@ int cmd_predict(Args& args) {
   const auto app = apps::make_app(apps::parse_app_id(args.get("app", "CG")),
                                   args.get("class", ""));
   core::StudyConfig cfg;
-  cfg.small_p = static_cast<int>(args.get_int("small", 8));
-  cfg.large_p = static_cast<int>(args.get_int("large", 64));
-  cfg.trials = static_cast<std::size_t>(args.get_int("trials", 400));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 20180813));
+  cfg.small_p = args.get_count("small", 8);
+  cfg.large_p = args.get_count("large", 64);
+  cfg.trials = args.get_count<std::size_t>("trials", 400);
+  cfg.seed = args.get_count<std::uint64_t>("seed", 20180813);
   cfg.measure_large = args.get("no-measure", "").empty();
-  cfg.max_workers = static_cast<int>(args.get_int("jobs", 0));
+  cfg.max_workers = args.get_count("jobs", 0);
   cfg.adaptive = parse_adaptive(args);
   const std::string report_path = args.get("report", "");
-  const long ci_resamples = args.get_int("ci", 0);
+  const std::size_t ci_resamples = args.get_count<std::size_t>("ci", 0);
   TelemetryOutputs telemetry_out(args);
   args.check_consumed();
 
@@ -422,7 +444,7 @@ int cmd_predict(Args& args) {
     // Resampled over the common-computation model inputs (sweep + small
     // scale); the unique term contributes little to the variance.
     core::BootstrapOptions bopts;
-    bopts.resamples = static_cast<std::size_t>(ci_resamples);
+    bopts.resamples = ci_resamples;
     const auto interval = core::bootstrap_prediction(
         study.sweep, study.small, core::PredictorOptions{}, cfg.large_p,
         bopts);
@@ -464,11 +486,11 @@ int cmd_propagation(Args& args) {
   const auto app = apps::make_app(apps::parse_app_id(args.get("app", "CG")),
                                   args.get("class", ""));
   const harness::DeploymentConfig dep = parse_deployment(args);
-  const long shards_flag = args.get_int("shards", -1);
+  const shard::ShardOptions shard_opts = parse_shard_options(args);
   TelemetryOutputs telemetry_out(args);
   args.check_consumed();
 
-  const auto campaign = run_configured_campaign(*app, dep, shards_flag);
+  const auto campaign = run_configured_campaign(*app, dep, shard_opts);
   std::cout << app->label() << " error propagation at " << dep.nranks
             << " ranks\n\n";
   util::TablePrinter table({"ranks contaminated", "tests", "r_x",
